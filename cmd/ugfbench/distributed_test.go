@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/ugf-sim/ugf/internal/cliflags"
 	"github.com/ugf-sim/ugf/internal/service"
 )
 
@@ -83,12 +85,17 @@ func TestServiceFlagValidation(t *testing.T) {
 		{[]string{"-serve"}, "-debugaddr"},
 		{[]string{"-serve", "-debugaddr", ":0", "-worker", "http://x"}, "mutually exclusive"},
 		{[]string{"-worker", "http://x", "-coord", "http://x"}, "mutually exclusive"},
-		{[]string{"-cachedir", "x"}, "-serve"},
+		{[]string{"-cachedir", "x", "-coord", "http://x"}, "coordinator owns the result store"},
+		{[]string{"-cachedir", "x", "-worker", "http://x"}, "workers hold no result store"},
 	}
 	for _, tc := range cases {
 		_, err := runCLI(t, tc.args...)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("args %v: error %v, want mention of %q", tc.args, err, tc.want)
+		}
+		var conflict *cliflags.ConflictError
+		if strings.Contains(tc.args[0], "cachedir") && !errors.As(err, &conflict) {
+			t.Errorf("args %v: error %T is not a ConflictError", tc.args, err)
 		}
 	}
 }

@@ -5,22 +5,24 @@
 //
 // The harness is fault-tolerant (DESIGN.md §6): a panicking run is
 // isolated and reported instead of crashing the sweep, SIGINT stops the
-// sweep cleanly, and with -out every finished run is journaled so that
-// -resume continues an interrupted sweep without recomputation and
-// reproduces byte-identical outputs.
+// sweep cleanly, and with -cachedir every finished run is stored in a
+// content-addressed result store, so rerunning an interrupted sweep with
+// the same -cachedir continues it without recomputation and reproduces
+// byte-identical outputs.
 //
 // Observability (DESIGN.md §7): a live status line on stderr tracks
-// completed/failed/flaky runs with a journal-aware ETA; -stats prints the
+// completed/failed/flaky runs with a cache-aware ETA; -stats prints the
 // engine's aggregated run-level counters per experiment; -trace streams
 // one JSONL event trace per run to disk; -debugaddr serves expvar
 // (including the live progress snapshot) and pprof over HTTP while a long
 // sweep runs.
 //
 // Distributed sweeps (DESIGN.md §13): -serve turns the -debugaddr
-// listener into a sweep coordinator carrying a content-addressed result
-// cache and an HTTP job API; -worker joins a coordinator and executes
-// leased runs; -coord routes an ordinary experiment invocation through a
-// coordinator instead of the local pool, with byte-identical artifacts.
+// listener into a sweep coordinator carrying the result store (in memory,
+// or persisted under -cachedir) and an HTTP job API; -worker joins a
+// coordinator and executes leased runs; -coord routes an ordinary
+// experiment invocation through a coordinator instead of the local pool,
+// with byte-identical artifacts. A store write error is reported at exit.
 //
 // Examples:
 //
@@ -28,7 +30,7 @@
 //	ugfbench -exp fig3b                      # one panel, quick fidelity
 //	ugfbench -exp all -fidelity medium -out results/
 //	ugfbench -exp fig3e -fidelity full       # the paper's exact setting
-//	ugfbench -exp all -fidelity full -out results/ -resume   # after ^C
+//	ugfbench -exp all -fidelity full -out results/ -cachedir cache/  # rerun after ^C
 //	ugfbench -exp fig3a -stats -debugaddr localhost:6060
 //	ugfbench -exp example1 -trace traces/ -trace-kinds send,crash
 //	ugfbench -serve -debugaddr :6060 -cachedir cache/        # coordinator
@@ -87,7 +89,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, args []string, out io.Writer) error {
+func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("ugfbench", flag.ContinueOnError)
 	var common cliflags.Common
 	common.Register(fs)
@@ -103,7 +105,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		progress    = fs.Bool("progress", true, "print run progress")
 		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile  = fs.String("memprofile", "", "write a heap profile to this file on exit")
-		resume      = fs.Bool("resume", false, "reuse journaled runs from a previous interrupted sweep (requires -out)")
 		maxwall     = fs.Duration("maxwall", 0, "per-run wall-clock watchdog; runs over the limit count as cutoffs (0: none)")
 		cancelAfter = fs.Int("cancelafter", 0, "cancel the sweep after this many completed runs — a deterministic SIGINT for tests (0: never)")
 		traceDir    = fs.String("trace", "", "stream one JSONL event trace per run into this directory (can be large)")
@@ -111,7 +112,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		serve       = fs.Bool("serve", false, "run as a sweep coordinator: mount the job API on -debugaddr and wait for workers and submissions")
 		workerURL   = fs.String("worker", "", "run as a sweep worker against the coordinator at this URL (e.g. http://host:6060)")
 		coordURL    = fs.String("coord", "", "execute experiments through the coordinator at this URL instead of the local pool")
-		cacheDir    = fs.String("cachedir", "", "with -serve, persist the content-addressed result cache in this directory")
+		cacheDir    = fs.String("cachedir", "", "persist the content-addressed result store in this directory: stored runs are not recomputed, so rerunning an interrupted sweep resumes it (with -serve: the coordinator's store)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -119,9 +120,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	common.Warn(fs, os.Stderr)
 	if err := common.Validate(*traceDir != ""); err != nil {
 		return err
-	}
-	if *resume && *outDir == "" {
-		return errors.New("-resume requires -out (the run journal lives in the output directory)")
 	}
 	modes := 0
 	for _, on := range []bool{*serve, *workerURL != "", *coordURL != ""} {
@@ -135,8 +133,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *serve && *debugAddr == "" {
 		return errors.New("-serve requires -debugaddr (the job API shares its listener)")
 	}
-	if *cacheDir != "" && !*serve {
-		return errors.New("-cachedir only applies to -serve (workers and clients hold no cache)")
+	if *cacheDir != "" && *coordURL != "" {
+		return &cliflags.ConflictError{Flag: "cachedir", Mode: "-coord", Why: "the coordinator owns the result store"}
+	}
+	if *cacheDir != "" && *workerURL != "" {
+		return &cliflags.ConflictError{Flag: "cachedir", Mode: "-worker", Why: "workers hold no result store; the coordinator does"}
 	}
 	kindMask, err := common.KindMask()
 	if err != nil {
@@ -150,6 +151,17 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	var cache *runner.Cache
+	if *cacheDir != "" {
+		if cache, err = runner.OpenCache(*cacheDir); err != nil {
+			return fmt.Errorf("cachedir: %w", err)
+		}
+		defer func() {
+			if cerr := cache.Close(); cerr != nil {
+				err = errors.Join(err, fmt.Errorf("cachedir: %w", cerr))
+			}
+		}()
+	}
 	if *debugAddr != "" {
 		ln, err := net.Listen("tcp", *debugAddr)
 		if err != nil {
@@ -158,10 +170,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		defer ln.Close()
 		fmt.Fprintf(os.Stderr, "ugfbench: debug endpoint on http://%s/debug/vars and /debug/pprof/\n", ln.Addr())
 		if *serve {
-			coord, err := newCoordinator(*cacheDir)
-			if err != nil {
-				return err
-			}
+			coord := service.NewCoordinator(service.Options{Cache: cache})
 			// The job API shares the debug listener: one address carries
 			// observability and jobs.
 			service.Register(http.DefaultServeMux, coord)
@@ -256,7 +265,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			Fidelity: fid, Workers: *workers, Shards: common.Shards, BaseSeed: *seed,
 			Context: ctx, MaxWall: *maxwall,
 			Faults: faultPlan, StallWindow: common.StallWindow, Topology: topo,
-			MaxEvents: common.MaxEvents,
+			MaxEvents: common.MaxEvents, Cache: cache,
 		}
 		if *coordURL != "" {
 			client := service.NewClient(*coordURL)
@@ -272,36 +281,15 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		if *traceDir != "" {
 			cfg.Trace = traceFactory(*traceDir, e.ID, kindMask)
 		}
-		var j *runner.Journal
-		if *outDir != "" {
-			var err error
-			j, err = runner.OpenJournal(filepath.Join(*outDir, e.ID+".journal.jsonl"), *resume)
-			if err != nil {
-				return fmt.Errorf("experiment %s: %w", e.ID, err)
-			}
-			cfg.Journal = j
-		}
 		start := time.Now()
 		rep, err := e.Run(cfg)
 		prog.Finish()
-		if j != nil {
-			if cerr := j.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}
 		if err != nil {
-			if errors.Is(err, context.Canceled) && j != nil {
-				return fmt.Errorf("experiment %s: interrupted — %d finished run(s) are journaled in %s; rerun with -resume to continue: %w",
-					e.ID, j.Len(), j.Path(), err)
+			if errors.Is(err, context.Canceled) && cache != nil {
+				return fmt.Errorf("experiment %s: interrupted — %d run(s) are stored in %s; rerun with the same -cachedir to continue: %w",
+					e.ID, cache.Len(), *cacheDir, err)
 			}
 			return fmt.Errorf("experiment %s: %w", e.ID, err)
-		}
-		if j != nil && j.ErrorCount() == 0 {
-			// A clean sweep no longer needs its journal; one that recorded
-			// deterministic failures keeps it as the forensic record.
-			if err := j.Remove(); err != nil {
-				return fmt.Errorf("experiment %s: %w", e.ID, err)
-			}
 		}
 		if err := render(out, rep, time.Since(start)); err != nil {
 			return err
@@ -341,20 +329,6 @@ func onRunCallback(prog *runner.Progress) func(runner.RunUpdate) {
 		snap := prog.Snapshot()
 		currentProgress.Store(&snap)
 	}
-}
-
-// newCoordinator builds the -serve coordinator, backed by a persistent
-// result cache when -cachedir is set.
-func newCoordinator(cacheDir string) (*service.Coordinator, error) {
-	var opts service.Options
-	if cacheDir != "" {
-		cache, err := service.NewCache(cacheDir)
-		if err != nil {
-			return nil, fmt.Errorf("cachedir: %w", err)
-		}
-		opts.Cache = cache
-	}
-	return service.NewCoordinator(opts), nil
 }
 
 // runWorker executes leased runs against a remote coordinator until

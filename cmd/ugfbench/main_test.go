@@ -123,7 +123,7 @@ func TestErrors(t *testing.T) {
 		{"-exp", "bogus"},
 		{"-fidelity", "bogus"},
 		{"-not-a-flag"},
-		{"-resume"},                             // -resume without -out has no journal to resume from
+		{"-resume"},                             // gone: rerun with the same -cachedir instead
 		{"-tracekinds", "send"},                 // -tracekinds without -trace has nothing to filter
 		{"-trace", ".", "-tracekinds", "bogus"}, // unknown trace kind
 	}
@@ -136,11 +136,13 @@ func TestErrors(t *testing.T) {
 
 // TestKillAndResume is the end-to-end fault-tolerance check: a sweep
 // cancelled mid-flight (via -cancelafter, the deterministic stand-in for
-// SIGINT) journals its finished runs, and rerunning with -resume completes
-// the sweep with artifacts byte-identical to an uninterrupted one.
+// SIGINT) leaves its finished runs in the -cachedir store, and rerunning
+// with the same -cachedir completes the sweep with artifacts
+// byte-identical to an uninterrupted one.
 func TestKillAndResume(t *testing.T) {
 	baseline := t.TempDir()
 	resumed := t.TempDir()
+	cache := t.TempDir()
 	exp := "fig3a"
 	common := []string{"-exp", exp, "-progress=false", "-out"}
 
@@ -148,20 +150,16 @@ func TestKillAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, err := runCLI(t, append(append(common, resumed), "-cancelafter", "10")...)
+	_, err := runCLI(t, append(common, resumed, "-cachedir", cache, "-cancelafter", "10")...)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted sweep: err = %v, want context.Canceled", err)
 	}
-	journal := filepath.Join(resumed, exp+".journal.jsonl")
-	if _, err := os.Stat(journal); err != nil {
-		t.Fatalf("no journal after interruption: %v", err)
+	if st, err := os.Stat(filepath.Join(cache, "results.jsonl")); err != nil || st.Size() == 0 {
+		t.Fatalf("no stored runs after interruption (err=%v)", err)
 	}
 
-	if _, err := runCLI(t, append(append(common, resumed), "-resume")...); err != nil {
+	if _, err := runCLI(t, append(common, resumed, "-cachedir", cache)...); err != nil {
 		t.Fatalf("resume failed: %v", err)
-	}
-	if _, err := os.Stat(journal); !os.IsNotExist(err) {
-		t.Errorf("journal not removed after clean resume (err=%v)", err)
 	}
 
 	for _, name := range []string{exp + "_0.csv", exp + ".md"} {
@@ -270,19 +268,18 @@ func TestTraceKindsFiltersFiles(t *testing.T) {
 }
 
 // TestResumeProgressCountsJournal is the CLI end of the live-progress
-// acceptance: after an interrupted sweep is resumed, the progress snapshot
-// (the same one -debugaddr serves via expvar) must show the full sweep done
-// with the journal-served runs counted separately, so the ETA during the
-// resume was derived from computed runs only.
+// acceptance: after an interrupted sweep is resumed over its -cachedir,
+// the progress snapshot (the same one -debugaddr serves via expvar) must
+// show the full sweep done with the cache-served runs counted separately,
+// so the ETA during the resume was derived from computed runs only.
 func TestResumeProgressCountsJournal(t *testing.T) {
-	dir := t.TempDir()
-	common := []string{"-exp", "fig3a", "-progress=false", "-out", dir}
+	common := []string{"-exp", "fig3a", "-progress=false", "-cachedir", t.TempDir()}
 
 	_, err := runCLI(t, append(common, "-cancelafter", "10")...)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted sweep: err = %v, want context.Canceled", err)
 	}
-	if _, err := runCLI(t, append(common, "-resume")...); err != nil {
+	if _, err := runCLI(t, common...); err != nil {
 		t.Fatalf("resume failed: %v", err)
 	}
 	snap := currentProgress.Load()
@@ -292,7 +289,7 @@ func TestResumeProgressCountsJournal(t *testing.T) {
 	if snap.Done != snap.Total || snap.Total == 0 {
 		t.Fatalf("resumed sweep incomplete in snapshot: %+v", snap)
 	}
-	if snap.Journaled == 0 || snap.Journaled >= snap.Total {
-		t.Fatalf("snapshot must count journal-served runs (0 < Journaled < Total): %+v", snap)
+	if snap.Cached == 0 || snap.Cached >= snap.Total {
+		t.Fatalf("snapshot must count cache-served runs (0 < Cached < Total): %+v", snap)
 	}
 }

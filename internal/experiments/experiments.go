@@ -78,7 +78,7 @@ type Config struct {
 	// Progress, when non-nil, receives per-run completion updates.
 	Progress func(done, total int)
 	// OnRun, when non-nil, receives the runner's rich per-run updates
-	// (identity, cumulative failure counts, journal hits) — the feed behind
+	// (identity, cumulative failure counts, cache hits) — the feed behind
 	// ugfbench's live status line and expvar metrics.
 	OnRun func(u runner.RunUpdate)
 	// Trace, when non-nil, supplies a per-run trace sink (ugfbench -trace);
@@ -87,12 +87,12 @@ type Config struct {
 	// Context cancels the experiment cooperatively: between runs and, via
 	// the engine's event-boundary polling, inside delay-heavy runs. nil
 	// means context.Background(). On cancellation Run returns the
-	// context's error; with a Journal attached, completed runs are already
-	// recorded and a rerun resumes where the sweep stopped.
+	// context's error; with a Cache attached, completed runs are already
+	// stored and a rerun resumes where the sweep stopped.
 	Context context.Context
-	// Journal, when non-nil, records every finished run and serves
-	// recorded ones without recomputation (ugfbench -resume).
-	Journal *runner.Journal
+	// Cache, when non-nil, stores every finished run and serves stored
+	// ones without recomputation (ugfbench -cachedir).
+	Cache *runner.Cache
 	// MaxWall is the per-run wall-clock watchdog (0: none); runs stopped
 	// by it count as cutoffs and never enter complexity statistics.
 	MaxWall time.Duration
@@ -118,7 +118,7 @@ type Config struct {
 	// Exec, when non-nil, replaces runner.ExecuteContext as the batch
 	// executor — ugfbench -coord plugs the sweep service's remote executor
 	// in here. Implementations must honor the runner.Result contract
-	// (ordering, error classification, journal integration) so downstream
+	// (ordering, error classification, the OnRun feed) so downstream
 	// artifacts stay byte-identical.
 	Exec func(ctx context.Context, specs []runner.Spec, opts runner.Options) ([]runner.Result, error)
 }
@@ -174,7 +174,7 @@ type Report struct {
 	// Engine aggregates the engine-level Stats counters over every run the
 	// experiment executed (scheduler events, messages by kind, adversary
 	// interventions, wall time per phase) — the data behind ugfbench
-	// -stats. Journal-served runs contribute their recorded stats.
+	// -stats. Cache-served runs contribute their stored stats.
 	Engine sim.Stats
 	// EngineRuns is the number of outcomes aggregated into Engine.
 	EngineRuns int
@@ -248,7 +248,7 @@ func ByID(id string) (Experiment, bool) {
 }
 
 // execute runs specs on the parallel runner with the experiment's
-// cancellation, journaling, and watchdog settings, then annotates rep so
+// cancellation, result store, and watchdog settings, then annotates rep so
 // that failed or retried runs surface in the report instead of vanishing
 // silently — the statistics downstream use the surviving runs (failed
 // slots carry HorizonHit placeholders, which every cutoff-aware summary
@@ -282,7 +282,7 @@ func execute(rep *Report, cfg Config, specs []runner.Spec) ([]runner.Result, err
 		Progress: cfg.Progress,
 		OnRun:    cfg.OnRun,
 		Trace:    cfg.Trace,
-		Journal:  cfg.Journal,
+		Cache:    cfg.Cache,
 		MaxWall:  cfg.MaxWall,
 	})
 	if err != nil {

@@ -1,8 +1,13 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"github.com/ugf-sim/ugf/internal/runner"
+	"github.com/ugf-sim/ugf/internal/sim"
 )
 
 func quickCfg() Config {
@@ -157,6 +162,56 @@ func TestDegradationQuick(t *testing.T) {
 	}
 	if !hasNote(rep, "stalls detected): REPRODUCED") {
 		t.Errorf("graceful-degradation claim not reproduced; notes: %v", rep.Notes)
+	}
+}
+
+// onceSink panics on the first event it sees while armed, then disarms.
+type onceSink struct{ armed *atomic.Bool }
+
+func (s onceSink) Event(sim.TraceEvent) {
+	if s.armed.CompareAndSwap(true, false) {
+		panic("transient fault")
+	}
+}
+
+// TestCachedFlakyRunKeepsRetryNote: a run recovered by its same-seed retry
+// is stored with its RunError, so rerunning the experiment over the cache
+// recomputes nothing and reports the retry exactly as the first sweep did.
+func TestCachedFlakyRunKeepsRetryNote(t *testing.T) {
+	cache, err := runner.OpenCache("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var armed atomic.Bool
+	armed.Store(true)
+	cfg := quickCfg()
+	cfg.Cache = cache
+	cfg.Trace = func(runner.Spec, int) sim.TraceSink { return onceSink{&armed} }
+	first, err := mustExp(t, "example1").Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hasNote(first, "recovered by a same-seed retry") {
+		t.Fatalf("no retry note in the first sweep; notes: %v", first.Notes)
+	}
+
+	var computed atomic.Int64
+	cfg = quickCfg()
+	cfg.Cache = cache
+	cfg.OnRun = func(u runner.RunUpdate) {
+		if !u.FromCache {
+			computed.Add(1)
+		}
+	}
+	second, err := mustExp(t, "example1").Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := computed.Load(); n != 0 {
+		t.Errorf("rerun over the cache computed %d runs, want 0", n)
+	}
+	if !reflect.DeepEqual(first.Notes, second.Notes) {
+		t.Errorf("notes changed when served from the cache:\n%v\n%v", first.Notes, second.Notes)
 	}
 }
 

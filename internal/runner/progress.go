@@ -10,8 +10,8 @@ import (
 
 // Progress turns the Options.OnRun feed into a live, single-line status
 // display: completed/failed/flaky counts, the computation rate, and an ETA
-// that discounts journal-served runs (a resumed sweep replays recorded
-// runs near-instantly; counting them into the rate would make the ETA
+// that discounts cache-served runs (a resumed sweep replays stored runs
+// near-instantly; counting them into the rate would make the ETA
 // wildly optimistic). Snapshots are also available programmatically for
 // expvar-style exporters.
 //
@@ -84,16 +84,16 @@ func (p *Progress) Finish() {
 // Snapshot is a point-in-time view of the batch, in exportable form.
 type Snapshot struct {
 	Label string `json:"label"`
-	// Done, Total, Failed, Flaky, Journaled mirror the latest RunUpdate.
-	Done      int `json:"done"`
-	Total     int `json:"total"`
-	Failed    int `json:"failed,omitempty"`
-	Flaky     int `json:"flaky,omitempty"`
-	Journaled int `json:"journaled,omitempty"`
+	// Done, Total, Failed, Flaky, Cached mirror the latest RunUpdate.
+	Done   int `json:"done"`
+	Total  int `json:"total"`
+	Failed int `json:"failed,omitempty"`
+	Flaky  int `json:"flaky,omitempty"`
+	Cached int `json:"cached,omitempty"`
 	// Elapsed is the wall time since the first update.
 	Elapsed time.Duration `json:"elapsed_ns"`
 	// RunsPerSec is the computation rate over runs that actually executed
-	// (journal-served ones excluded), 0 until one completes.
+	// (cache-served ones excluded), 0 until one completes.
 	RunsPerSec float64 `json:"runs_per_sec"`
 	// ETA estimates the remaining wall time from RunsPerSec; valid only
 	// when ETAValid is set (a rate exists).
@@ -111,17 +111,17 @@ func (p *Progress) Snapshot() Snapshot {
 
 func (p *Progress) snapshotLocked(now time.Time) Snapshot {
 	s := Snapshot{
-		Label:     p.Label,
-		Done:      p.u.Done,
-		Total:     p.u.Total,
-		Failed:    p.u.Failed,
-		Flaky:     p.u.Flaky,
-		Journaled: p.u.Journaled,
+		Label:  p.Label,
+		Done:   p.u.Done,
+		Total:  p.u.Total,
+		Failed: p.u.Failed,
+		Flaky:  p.u.Flaky,
+		Cached: p.u.Cached,
 	}
 	if !p.start.IsZero() {
 		s.Elapsed = now.Sub(p.start)
 	}
-	computed := s.Done - s.Journaled
+	computed := s.Done - s.Cached
 	if computed > 0 && s.Elapsed > 0 {
 		s.RunsPerSec = float64(computed) / s.Elapsed.Seconds()
 		if remaining := s.Total - s.Done; remaining >= 0 && s.RunsPerSec > 0 {
@@ -146,8 +146,8 @@ func (p *Progress) line(s Snapshot) string {
 	if s.Flaky > 0 {
 		extras = append(extras, fmt.Sprintf("%d flaky", s.Flaky))
 	}
-	if s.Journaled > 0 {
-		extras = append(extras, fmt.Sprintf("%d from journal", s.Journaled))
+	if s.Cached > 0 {
+		extras = append(extras, fmt.Sprintf("%d from cache", s.Cached))
 	}
 	if len(extras) > 0 {
 		fmt.Fprintf(&b, " (%s)", strings.Join(extras, ", "))

@@ -44,7 +44,7 @@ func TestOnRunFeed(t *testing.T) {
 		if u.Spec != "pp" && u.Spec != "rr" {
 			t.Errorf("update %d: unknown spec %q", i, u.Spec)
 		}
-		if u.Failed != 0 || u.Flaky != 0 || u.Journaled != 0 || u.FromJournal || u.Err != nil {
+		if u.Failed != 0 || u.Flaky != 0 || u.Cached != 0 || u.FromCache || u.Err != nil {
 			t.Errorf("update %d: unexpected failure fields: %+v", i, u)
 		}
 		spec := specs()[0]
@@ -64,32 +64,23 @@ func TestOnRunFeed(t *testing.T) {
 }
 
 func TestOnRunReportsJournalHits(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "journal.jsonl")
-	j, err := OpenJournal(path, false)
+	c, err := OpenCache("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExecuteContext(context.Background(), specs(), Options{Journal: j}); err != nil {
+	if _, err := ExecuteContext(context.Background(), specs(), Options{Cache: c}); err != nil {
 		t.Fatal(err)
 	}
-	j.Close()
-
-	j, err = OpenJournal(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
 	var mu sync.Mutex
-	journaled, fresh := 0, 0
+	cached, fresh := 0, 0
 	var final RunUpdate
 	_, err = ExecuteContext(context.Background(), specs(), Options{
-		Journal: j,
+		Cache: c,
 		OnRun: func(u RunUpdate) {
 			mu.Lock()
 			defer mu.Unlock()
-			if u.FromJournal {
-				journaled++
+			if u.FromCache {
+				cached++
 			} else {
 				fresh++
 			}
@@ -101,11 +92,11 @@ func TestOnRunReportsJournalHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if journaled != 10 || fresh != 0 {
-		t.Fatalf("resume: %d journal-served, %d computed; want 10/0", journaled, fresh)
+	if cached != 10 || fresh != 0 {
+		t.Fatalf("rerun: %d cache-served, %d computed; want 10/0", cached, fresh)
 	}
-	if final.Journaled != 10 {
-		t.Fatalf("final update Journaled = %d, want 10", final.Journaled)
+	if final.Cached != 10 {
+		t.Fatalf("final update Cached = %d, want 10", final.Cached)
 	}
 }
 
@@ -225,23 +216,23 @@ func TestProgressSnapshotAndLine(t *testing.T) {
 	var buf bytes.Buffer
 	p := NewProgress(&buf, "fig3a")
 	p.Interval = time.Nanosecond // print every update
-	p.OnRun(RunUpdate{Spec: "a", Run: 0, Done: 2, Total: 10, Failed: 1, Journaled: 1})
+	p.OnRun(RunUpdate{Spec: "a", Run: 0, Done: 2, Total: 10, Failed: 1, Cached: 1})
 	time.Sleep(5 * time.Millisecond) // give the rate a nonzero time base
-	p.OnRun(RunUpdate{Spec: "a", Run: 1, Done: 3, Total: 10, Failed: 1, Journaled: 2})
+	p.OnRun(RunUpdate{Spec: "a", Run: 1, Done: 3, Total: 10, Failed: 1, Cached: 2})
 	s := p.Snapshot()
-	if s.Done != 3 || s.Total != 10 || s.Failed != 1 || s.Journaled != 2 {
+	if s.Done != 3 || s.Total != 10 || s.Failed != 1 || s.Cached != 2 {
 		t.Fatalf("snapshot = %+v", s)
 	}
 	if s.Label != "fig3a" {
 		t.Fatalf("label = %q", s.Label)
 	}
-	// One computed run (3 done - 2 journaled) over >0 elapsed: a rate and
+	// One computed run (3 done - 2 cached) over >0 elapsed: a rate and
 	// an ETA must exist.
 	if s.RunsPerSec <= 0 || !s.ETAValid {
 		t.Fatalf("rate/ETA missing: %+v", s)
 	}
 	out := buf.String()
-	for _, want := range []string{"fig3a:", "3/10 runs", "1 failed", "2 from journal", "ETA"} {
+	for _, want := range []string{"fig3a:", "3/10 runs", "1 failed", "2 from cache", "ETA"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("progress line %q missing %q", out, want)
 		}
@@ -263,16 +254,16 @@ func TestProgressStaleUpdatesIgnored(t *testing.T) {
 }
 
 func TestProgressETADiscountsJournal(t *testing.T) {
-	// 10 of 12 done, but 8 came from the journal: the rate must reflect the
+	// 10 of 12 done, but 8 came from the cache: the rate must reflect the
 	// 2 computed runs, so the ETA for the 2 remaining ≈ elapsed.
 	p := NewProgress(nil, "")
-	p.OnRun(RunUpdate{Done: 10, Total: 12, Journaled: 8})
+	p.OnRun(RunUpdate{Done: 10, Total: 12, Cached: 8})
 	time.Sleep(20 * time.Millisecond)
 	s := p.Snapshot()
 	if !s.ETAValid {
 		t.Fatal("no ETA")
 	}
 	if ratio := float64(s.ETA) / float64(s.Elapsed); ratio < 0.5 || ratio > 2 {
-		t.Fatalf("ETA %v vs elapsed %v: journal runs not discounted (ratio %.2f)", s.ETA, s.Elapsed, ratio)
+		t.Fatalf("ETA %v vs elapsed %v: cached runs not discounted (ratio %.2f)", s.ETA, s.Elapsed, ratio)
 	}
 }

@@ -47,7 +47,7 @@ func (bombProc) Asleep() bool                              { return false }
 func (bombProc) Knows(sim.ProcID) bool                     { return false }
 
 // countProto counts its constructions — a probe for how many runs actually
-// executed (journal hits and short-circuited jobs never construct it).
+// executed (short-circuited jobs never construct it).
 type countProto struct{ calls *atomic.Int64 }
 
 func (countProto) Name() string { return "count" }

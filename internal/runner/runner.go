@@ -11,8 +11,9 @@
 // The pool is fault-tolerant: a panic inside a protocol or adversary is
 // confined to its run and recorded as a RunError (after a same-seed retry
 // that classifies it as deterministic or environmental), cancellation via
-// context stops batches cooperatively mid-run, and an optional Journal
-// makes interrupted batches resumable without recomputation.
+// context stops batches cooperatively mid-run, and an optional Cache
+// serves stored runs without recomputation, which makes interrupted
+// batches resumable.
 package runner
 
 import (
@@ -130,10 +131,10 @@ type RunUpdate struct {
 	// Failed and Flaky are the cumulative deterministic-failure and
 	// recovered-by-retry counts so far.
 	Failed, Flaky int
-	// FromJournal marks a run served from the journal without
-	// recomputation; Journaled is the cumulative count of such runs.
-	FromJournal bool
-	Journaled   int
+	// FromCache marks a run served from the result store without
+	// recomputation; Cached is the cumulative count of such runs.
+	FromCache bool
+	Cached    int
 	// Err is set when this run failed deterministically.
 	Err *RunError
 }
@@ -143,7 +144,7 @@ type Options struct {
 	// Workers bounds run-level parallelism (≤ 0: GOMAXPROCS).
 	Workers int
 	// Progress, when non-nil, is called after each finished run (completed,
-	// failed, or served from the journal) with the number done and the
+	// failed, or served from the cache) with the number done and the
 	// total. It may be called concurrently from several workers.
 	Progress func(done, total int)
 	// OnRun, when non-nil, is called after each finished run with the run's
@@ -153,17 +154,19 @@ type Options struct {
 	// runs on the worker goroutine.
 	OnRun func(u RunUpdate)
 	// Trace, when non-nil, supplies a per-run trace sink: it is called
-	// before each computed run (never for journal-served ones) and its
+	// before each computed run (never for cache-served ones) and its
 	// result becomes the run's Config.Trace. A nil result disables tracing
 	// for that run. Sinks that implement io.Closer are closed when the run
 	// finishes; a panicking run's sink is closed and a fresh one opened for
 	// the same-seed retry, so a trace file never mixes two attempts.
 	Trace func(spec Spec, run int) sim.TraceSink
-	// Journal, when non-nil, serves previously recorded runs without
-	// recomputation and records every newly finished run, making the batch
-	// resumable after a crash or SIGINT. Cancelled outcomes are never
-	// journaled — their stopping point depends on wall-clock time.
-	Journal *Journal
+	// Cache, when non-nil, serves stored runs without recomputation and
+	// stores every newly finished one under its canonical spec
+	// fingerprint, so rerunning an interrupted batch over the same cache
+	// resumes it. Runs without a spec encoding (custom protocols or
+	// adversaries) execute uncached; Cache.Put's policy decides which
+	// finished runs are stored.
+	Cache *Cache
 	// MaxWall is the per-run wall-clock watchdog forwarded to
 	// sim.Config.MaxWall (0: none). Runs stopped by the watchdog count as
 	// cutoffs (HorizonHit) and are recomputed on resume.
@@ -178,8 +181,8 @@ func Execute(specs []Spec, workers int, progress func(done, total int)) ([]Resul
 	return ExecuteContext(context.Background(), specs, Options{Workers: workers, Progress: progress})
 }
 
-// ExecuteContext is Execute with cancellation, fault isolation, and
-// optional journaling.
+// ExecuteContext is Execute with cancellation, fault isolation, and an
+// optional result store.
 //
 // Fault tolerance semantics:
 //   - A run that panics is retried once with the same seed. If the retry
@@ -193,8 +196,8 @@ func Execute(specs []Spec, workers int, progress func(done, total int)) ([]Resul
 //   - Cancelling ctx stops the batch at the next run boundary and
 //     interrupts in-flight runs at their next engine event boundary.
 //     ExecuteContext then returns the partial results alongside ctx's
-//     error; with a Journal attached, every completed run has already been
-//     recorded, so a rerun resumes where the batch stopped.
+//     error; with a Cache attached, every completed run has already been
+//     stored, so a rerun resumes where the batch stopped.
 func ExecuteContext(ctx context.Context, specs []Spec, opts Options) ([]Result, error) {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -216,50 +219,22 @@ func ExecuteContext(ctx context.Context, specs []Spec, opts Options) ([]Result, 
 			}
 		}
 	}
+	col, err := NewCollector(specs, opts)
+	if err != nil {
+		return nil, err
+	}
 	type job struct {
 		spec, run int
 	}
-	total := 0
-	results := make([]Result, len(specs))
-	for i, s := range specs {
-		if s.Runs <= 0 {
-			return nil, fmt.Errorf("runner: spec %q has Runs = %d", s.Name, s.Runs)
-		}
-		results[i] = Result{Spec: s, Outcomes: make([]sim.Outcome, s.Runs)}
-		total += s.Runs
-	}
-
 	// Buffered so the submit loop below streams jobs without blocking on
 	// worker hand-off; workers drain at their own pace.
-	jobs := make(chan job, total)
+	jobs := make(chan job, col.total)
 	var (
-		wg        sync.WaitGroup
-		done      atomic.Int64
-		failedCt  atomic.Int64
-		flakyCt   atomic.Int64
-		journaled atomic.Int64
-		firstErr  error
-		errOnce   sync.Once
-		stopped   atomic.Bool // batch failed or cancelled: drain, don't run
-		faultMu   sync.Mutex  // guards Errors/Flaky appends across workers
+		wg       sync.WaitGroup
+		firstErr error
+		errOnce  sync.Once
+		stopped  atomic.Bool // batch failed or cancelled: drain, don't run
 	)
-	fail := func(err error) {
-		errOnce.Do(func() { firstErr = err })
-		stopped.Store(true)
-	}
-	finish := func(u RunUpdate) {
-		u.Done = int(done.Add(1))
-		u.Total = total
-		if opts.Progress != nil {
-			opts.Progress(u.Done, total)
-		}
-		if opts.OnRun != nil {
-			u.Failed = int(failedCt.Load())
-			u.Flaky = int(flakyCt.Load())
-			u.Journaled = int(journaled.Load())
-			opts.OnRun(u)
-		}
-	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -271,22 +246,14 @@ func ExecuteContext(ctx context.Context, specs []Spec, opts Options) ([]Result, 
 				spec := specs[j.spec]
 				cfg := spec.Base
 				cfg.Seed = xrand.Derive(spec.BaseSeed, uint64(j.run))
-				update := RunUpdate{Spec: spec.Name, Run: j.run, Seed: cfg.Seed}
-				if opts.Journal != nil {
-					if o, re, ok := opts.Journal.Lookup(spec, j.run); ok {
-						update.FromJournal = true
-						journaled.Add(1)
-						if re != nil {
-							failedCt.Add(1)
-							update.Err = re
-							faultMu.Lock()
-							results[j.spec].Errors = append(results[j.spec].Errors, re)
-							faultMu.Unlock()
-							results[j.spec].Outcomes[j.run] = FailedOutcome(cfg)
-						} else {
-							results[j.spec].Outcomes[j.run] = o
-						}
-						finish(update)
+				var rec Record
+				keyed := false
+				if opts.Cache != nil {
+					rec.Spec, rec.Fingerprint, keyed = storeKey(cfg)
+				}
+				if keyed {
+					if stored, ok := opts.Cache.Get(rec.Fingerprint); ok {
+						col.Add(j.spec, j.run, stored.Outcome, stored.Err, true)
 						continue
 					}
 				}
@@ -299,33 +266,19 @@ func ExecuteContext(ctx context.Context, specs []Spec, opts Options) ([]Result, 
 				}
 				o, re, err := Attempt(cfg, spec.Name, j.run, sinkFn)
 				if err != nil {
-					fail(fmt.Errorf("runner: spec %q run %d: %w", spec.Name, j.run, err))
+					errOnce.Do(func() { firstErr = fmt.Errorf("runner: spec %q run %d: %w", spec.Name, j.run, err) })
+					stopped.Store(true)
 					continue
 				}
-				if re != nil {
-					if re.Deterministic {
-						failedCt.Add(1)
-						update.Err = re
-						faultMu.Lock()
-						results[j.spec].Errors = append(results[j.spec].Errors, re)
-						faultMu.Unlock()
-						results[j.spec].Outcomes[j.run] = o
-						if opts.Journal != nil {
-							opts.Journal.Record(spec, j.run, nil, re)
-						}
-						finish(update)
-						continue
-					}
-					flakyCt.Add(1)
-					faultMu.Lock()
-					results[j.spec].Flaky = append(results[j.spec].Flaky, re)
-					faultMu.Unlock()
+				rec.Err = re
+				if re == nil || !re.Deterministic {
+					rec.Outcome = &o
 				}
-				results[j.spec].Outcomes[j.run] = o
-				if opts.Journal != nil && !o.Cancelled {
-					opts.Journal.Record(spec, j.run, &o, nil)
+				if keyed {
+					// A write error stays with the cache for Close to report.
+					_ = opts.Cache.Put(rec)
 				}
-				finish(update)
+				col.Add(j.spec, j.run, rec.Outcome, rec.Err, false)
 			}
 		}()
 	}
@@ -339,16 +292,95 @@ func ExecuteContext(ctx context.Context, specs []Spec, opts Options) ([]Result, 
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	for i := range results {
-		sortByRun(results[i].Errors)
-		sortByRun(results[i].Flaky)
+	// Partial results on cancellation: completed runs are valid (and
+	// stored, when a cache is attached); the rest never ran or were
+	// cancelled.
+	return col.Results(), ctx.Err()
+}
+
+// Collector folds finished runs into a batch's Results and drives its
+// Progress/OnRun feed. ExecuteContext and the sweep service's executor
+// share it, so a run served from a store or a remote worker lands in the
+// Result exactly as a locally computed one does. Add is safe for
+// concurrent use.
+type Collector struct {
+	results  []Result
+	total    int
+	progress func(done, total int)
+	onRun    func(RunUpdate)
+
+	mu                          sync.Mutex
+	done, failed, flaky, cached int
+}
+
+// NewCollector prepares the Results of specs, reporting finished runs to
+// opts.Progress and opts.OnRun. Every spec needs Runs > 0.
+func NewCollector(specs []Spec, opts Options) (*Collector, error) {
+	c := &Collector{results: make([]Result, len(specs)), progress: opts.Progress, onRun: opts.OnRun}
+	for i, s := range specs {
+		if s.Runs <= 0 {
+			return nil, fmt.Errorf("runner: spec %q has Runs = %d", s.Name, s.Runs)
+		}
+		c.results[i] = Result{Spec: s, Outcomes: make([]sim.Outcome, s.Runs)}
+		c.total += s.Runs
 	}
-	if err := ctx.Err(); err != nil {
-		// Partial results: completed runs are valid (and journaled, when a
-		// journal is attached); the rest never ran or were cancelled.
-		return results, err
+	return c, nil
+}
+
+// Add records the finish of run of spec si: its outcome o, or nil when
+// the run produced none, and its failure record re, if any. re is
+// re-addressed to the series coordinates (spec name, run, derived seed),
+// because a stored or remotely computed record may have been written
+// under another series or a fingerprint. The run failed when re is
+// deterministic or o is nil: its slot gets the placeholder outcome and re
+// joins Result.Errors. Otherwise o fills the slot and a non-nil re joins
+// Result.Flaky. cached marks a run served without recomputation.
+func (c *Collector) Add(si, run int, o *sim.Outcome, re *RunError, cached bool) {
+	r := &c.results[si]
+	cfg := r.Spec.Base
+	cfg.Seed = xrand.Derive(r.Spec.BaseSeed, uint64(run))
+	u := RunUpdate{Spec: r.Spec.Name, Run: run, Seed: cfg.Seed, FromCache: cached}
+	if re != nil {
+		cp := *re
+		cp.Spec, cp.Run, cp.Seed = u.Spec, run, u.Seed
+		re = &cp
 	}
-	return results, nil
+	c.mu.Lock()
+	switch {
+	case o == nil || re != nil && re.Deterministic:
+		c.failed++
+		r.Errors = append(r.Errors, re)
+		r.Outcomes[run] = failedOutcome(cfg)
+		u.Err = re
+	case re != nil:
+		c.flaky++
+		r.Flaky = append(r.Flaky, re)
+		fallthrough
+	default:
+		r.Outcomes[run] = *o
+	}
+	if cached {
+		c.cached++
+	}
+	c.done++
+	u.Done, u.Total, u.Failed, u.Flaky, u.Cached = c.done, c.total, c.failed, c.flaky, c.cached
+	c.mu.Unlock()
+	if c.progress != nil {
+		c.progress(u.Done, u.Total)
+	}
+	if c.onRun != nil {
+		c.onRun(u)
+	}
+}
+
+// Results returns the collected Results with Errors and Flaky sorted by
+// run. Call it once every Add has returned.
+func (c *Collector) Results() []Result {
+	for i := range c.results {
+		sortByRun(c.results[i].Errors)
+		sortByRun(c.results[i].Flaky)
+	}
+	return c.results
 }
 
 // Attempt executes one run with the pool's fault-isolation semantics,
@@ -359,7 +391,7 @@ func ExecuteContext(ctx context.Context, specs []Spec, opts Options) ([]Result, 
 // A panic anywhere in the protocol/adversary/engine stack triggers one
 // same-seed retry: a run is a pure function of its Config, so a second
 // panic classifies the fault as deterministic (the returned outcome is
-// the FailedOutcome placeholder and re.Deterministic is set), while a
+// the failedOutcome placeholder and re.Deterministic is set), while a
 // completed retry means the failure was environmental — the retry's
 // outcome is returned alongside a non-deterministic re recording the
 // incident. sink, when non-nil, supplies a fresh trace sink per attempt
@@ -388,7 +420,7 @@ func Attempt(cfg sim.Config, specName string, run int, sink func() sim.TraceSink
 		if pan != nil {
 			re.Deterministic = true
 			closeSink(s)
-			return FailedOutcome(cfg), re, nil
+			return failedOutcome(cfg), re, nil
 		}
 		if err != nil {
 			// The retry surfaced a configuration error; the panic record is
@@ -426,12 +458,10 @@ func runOnce(cfg sim.Config) (o sim.Outcome, err error, pan any, stack []byte) {
 	return
 }
 
-// FailedOutcome is the placeholder stored in a failed run's Outcomes
+// failedOutcome is the placeholder stored in a failed run's Outcomes
 // slot: HorizonHit is set so every cutoff-aware statistic (medians,
-// rates, fits) skips the slot without special-casing failures. Exported
-// so the sweep service synthesizes the identical placeholder for runs
-// whose cached record is a deterministic RunError.
-func FailedOutcome(cfg sim.Config) sim.Outcome {
+// rates, fits) skips the slot without special-casing failures.
+func failedOutcome(cfg sim.Config) sim.Outcome {
 	o := sim.Outcome{N: cfg.N, F: cfg.F, Seed: cfg.Seed, Adversary: "none", HorizonHit: true}
 	if cfg.Protocol != nil {
 		o.Protocol = cfg.Protocol.Name()

@@ -11,6 +11,8 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+
+	"github.com/ugf-sim/ugf/internal/runner"
 )
 
 // Client speaks the job API of a remote coordinator, satisfying the same
@@ -44,8 +46,8 @@ func (c *Client) Status(id string) (SweepStatus, error) {
 }
 
 // Run fetches the cached record of one fingerprint.
-func (c *Client) Run(fp string) (Record, error) {
-	var rec Record
+func (c *Client) Run(fp string) (runner.Record, error) {
+	var rec runner.Record
 	err := c.get("/v1/runs/"+url.PathEscape(fp), &rec)
 	return rec, err
 }

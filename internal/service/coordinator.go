@@ -14,7 +14,7 @@ import (
 // Options parameterizes a Coordinator.
 type Options struct {
 	// Cache is the result store; nil opens a fresh in-memory cache.
-	Cache *Cache
+	Cache *runner.Cache
 	// LeaseTTL is how long a worker holds a leased run before the
 	// coordinator reaps and requeues it (default 2 minutes). Deterministic
 	// failures reported inside the TTL are final; only vanished workers
@@ -38,7 +38,7 @@ type Options struct {
 // in-flight task, so concurrent sweeps over overlapping grids compute
 // each distinct run exactly once.
 type Coordinator struct {
-	cache       *Cache
+	cache       *runner.Cache
 	leaseTTL    time.Duration
 	maxAttempts int
 
@@ -86,7 +86,7 @@ type sweepState struct {
 func NewCoordinator(opts Options) *Coordinator {
 	cache := opts.Cache
 	if cache == nil {
-		cache, _ = NewCache("")
+		cache, _ = runner.OpenCache("")
 	}
 	ttl := opts.LeaseTTL
 	if ttl <= 0 {
@@ -109,9 +109,6 @@ func NewCoordinator(opts Options) *Coordinator {
 	c.wake = sync.NewCond(&c.mu)
 	return c
 }
-
-// Cache returns the coordinator's result cache.
-func (c *Coordinator) Cache() *Cache { return c.cache }
 
 // Submit validates and enqueues a sweep: every spec canonicalized and
 // fingerprinted, cached results answered immediately, the rest deduped
@@ -188,7 +185,7 @@ func (c *Coordinator) Submit(req SweepRequest) (SubmitResponse, error) {
 
 // emitLocked appends a result event for slot index of sw and updates the
 // sweep's counters and progress feed.
-func (c *Coordinator) emitLocked(sw *sweepState, index int, rec Record, cached bool) {
+func (c *Coordinator) emitLocked(sw *sweepState, index int, rec runner.Record, cached bool) {
 	ev := ResultEvent{
 		Index:       index,
 		Fingerprint: rec.Fingerprint,
@@ -204,9 +201,9 @@ func (c *Coordinator) emitLocked(sw *sweepState, index int, rec Record, cached b
 	}
 	u := runner.RunUpdate{
 		Spec: sw.name, Done: sw.done, Total: len(sw.fps), Failed: sw.failed,
-		// Cache-served runs play the journal-served role in the snapshot:
-		// discounted from the rate, so the ETA reflects actual compute.
-		FromJournal: cached, Journaled: sw.cacheHits,
+		// Cache-served runs are discounted from the rate, so the ETA
+		// reflects actual compute.
+		FromCache: cached, Cached: sw.cacheHits,
 	}
 	if ev.Outcome != nil {
 		u.Seed = ev.Outcome.Seed
@@ -276,7 +273,7 @@ func (c *Coordinator) Stream(ctx context.Context, id string, from int, fn func(R
 }
 
 // Run returns the cached record of one fingerprint.
-func (c *Coordinator) Run(fp string) (Record, bool) {
+func (c *Coordinator) Run(fp string) (runner.Record, bool) {
 	return c.cache.Get(fp)
 }
 
@@ -340,13 +337,14 @@ func (c *Coordinator) reapLocked() {
 		c.requeued++
 		if t.attempts >= c.maxAttempts {
 			// Environmental exhaustion: no worker finished the run inside
-			// the TTL, MaxAttempts times over. Classified non-deterministic
-			// and NOT cached — a later submission retries fresh.
+			// the TTL, MaxAttempts times over. Classified non-deterministic,
+			// which the store's policy never keeps — a later submission
+			// retries fresh.
 			re := &runner.RunError{
 				Spec: t.fp, Seed: t.sp.Seed, Deterministic: false,
 				Panic: fmt.Sprintf("lease expired %d times (TTL %s); worker lost or run exceeds TTL", t.attempts, c.leaseTTL),
 			}
-			c.finishLocked(t, Record{Fingerprint: t.fp, Spec: t.sp, Err: re}, false)
+			c.finishLocked(t, runner.Record{Fingerprint: t.fp, Spec: t.sp, Err: re})
 			continue
 		}
 		c.queue = append(c.queue, t)
@@ -377,7 +375,7 @@ func (c *Coordinator) Complete(leaseID string, res CompleteRequest) error {
 			Spec: t.fp, Seed: t.sp.Seed, Deterministic: true,
 			Panic: "configuration error: " + res.ConfigError,
 		}
-		c.finishLocked(t, Record{Fingerprint: t.fp, Spec: t.sp, Err: re}, true)
+		c.finishLocked(t, runner.Record{Fingerprint: t.fp, Spec: t.sp, Err: re})
 	case res.Outcome != nil && res.Outcome.Cancelled:
 		// The worker was shut down mid-run; the outcome's stopping point is
 		// wall-clock-dependent, never cacheable. Requeue.
@@ -385,23 +383,22 @@ func (c *Coordinator) Complete(leaseID string, res CompleteRequest) error {
 		c.kick()
 	case res.Outcome != nil:
 		c.computed++
-		c.finishLocked(t, Record{Fingerprint: t.fp, Spec: t.sp, Outcome: res.Outcome, Err: res.Err}, true)
+		c.finishLocked(t, runner.Record{Fingerprint: t.fp, Spec: t.sp, Outcome: res.Outcome, Err: res.Err})
 	case res.Err != nil && res.Err.Deterministic:
 		c.computed++
-		c.finishLocked(t, Record{Fingerprint: t.fp, Spec: t.sp, Err: res.Err}, true)
+		c.finishLocked(t, runner.Record{Fingerprint: t.fp, Spec: t.sp, Err: res.Err})
 	default:
 		return fmt.Errorf("service: lease %s completed with neither outcome nor deterministic error", leaseID)
 	}
 	return nil
 }
 
-// finishLocked resolves a task: optionally caches its record, removes it
-// from the in-flight table, and emits an event into every subscribed
-// sweep slot.
-func (c *Coordinator) finishLocked(t *task, rec Record, cache bool) {
-	if cache {
-		c.cache.Put(rec)
-	}
+// finishLocked resolves a task: stores its record (the cache's policy
+// decides whether it is kept; a write error stays with the cache for
+// Close to report), removes it from the in-flight table, and emits an
+// event into every subscribed sweep slot.
+func (c *Coordinator) finishLocked(t *task, rec runner.Record) {
+	_ = c.cache.Put(rec)
 	delete(c.tasks, t.fp)
 	for _, s := range t.subs {
 		c.emitLocked(s.sw, s.index, rec, false)

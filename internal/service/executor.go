@@ -3,10 +3,8 @@ package service
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"github.com/ugf-sim/ugf/internal/runner"
-	"github.com/ugf-sim/ugf/internal/sim"
 	"github.com/ugf-sim/ugf/internal/spec"
 	"github.com/ugf-sim/ugf/internal/xrand"
 )
@@ -21,165 +19,69 @@ type SweepBackend interface {
 
 // ExecuteSpecs runs a batch of runner specs through a sweep backend
 // instead of the local worker pool, folding the service's result feed
-// back into the runner's exact result contract — same Outcomes order,
-// same Errors/Flaky classification, same journal and OnRun integration —
-// so everything downstream (stats, tables, CSV writers) produces
-// byte-identical artifacts whether the runs were computed locally, by
-// remote workers, or served from the content-addressed cache.
+// back into the runner's exact result contract through a
+// runner.Collector — same Outcomes order, same Errors/Flaky
+// classification, same OnRun feed — so everything downstream (stats,
+// tables, CSV writers) produces byte-identical artifacts whether the runs
+// were computed locally, by remote workers, or served from the
+// coordinator's cache.
 //
 // Requirements beyond runner.ExecuteContext: every spec's protocol and
 // adversary must be registry types (custom implementations have no spec
-// encoding to ship over the wire), and opts.Trace must be nil (traces
-// are local-only). opts.Workers and opts.MaxWall are execution-placement
-// knobs with no meaning here and are ignored. A journal still works
-// exactly as it does locally — recorded runs are served without
-// re-submitting, and every streamed result (cache-served ones included)
-// is recorded, so an interrupted -coord sweep resumes locally or
-// remotely alike.
+// encoding to ship over the wire), opts.Trace must be nil (traces are
+// local-only), and opts.Cache must be nil (the coordinator owns the
+// result store). opts.Workers and opts.MaxWall are execution-placement
+// knobs with no meaning here and are ignored.
 func ExecuteSpecs(ctx context.Context, be SweepBackend, specs []runner.Spec, opts runner.Options) ([]runner.Result, error) {
 	if opts.Trace != nil {
 		return nil, fmt.Errorf("service: per-run tracing is local-only; run without -coord to trace")
 	}
+	if opts.Cache != nil {
+		return nil, fmt.Errorf("service: the coordinator owns the result store; run without a local cache")
+	}
+	col, err := runner.NewCollector(specs, opts)
+	if err != nil {
+		return nil, err
+	}
 	type slot struct{ si, run int }
-	total := 0
-	results := make([]runner.Result, len(specs))
-	for i, s := range specs {
-		if s.Runs <= 0 {
-			return nil, fmt.Errorf("runner: spec %q has Runs = %d", s.Name, s.Runs)
-		}
-		results[i] = runner.Result{Spec: s, Outcomes: make([]sim.Outcome, s.Runs)}
-		total += s.Runs
-	}
-
-	var (
-		done, failed, flaky, journaled int
-	)
-	finish := func(sl slot, seed uint64, fromCache bool, re *runner.RunError) {
-		done++
-		if opts.Progress != nil {
-			opts.Progress(done, total)
-		}
-		if opts.OnRun != nil {
-			opts.OnRun(runner.RunUpdate{
-				Spec: specs[sl.si].Name, Run: sl.run, Seed: seed,
-				Done: done, Total: total, Failed: failed, Flaky: flaky,
-				FromJournal: fromCache, Journaled: journaled, Err: re,
-			})
-		}
-	}
-	seedOf := func(sl slot) uint64 {
-		return xrand.Derive(specs[sl.si].BaseSeed, uint64(sl.run))
-	}
-	cfgOf := func(sl slot) sim.Config {
-		cfg := specs[sl.si].Base
-		cfg.Seed = seedOf(sl)
-		return cfg
-	}
-	// rewrite re-addresses a service RunError (which identifies the run by
-	// fingerprint) to the series coordinates the runner contract uses.
-	rewrite := func(re *runner.RunError, sl slot) *runner.RunError {
-		if re == nil {
-			return nil
-		}
-		cp := *re
-		cp.Spec = specs[sl.si].Name
-		cp.Run = sl.run
-		cp.Seed = seedOf(sl)
-		return &cp
-	}
-	fail := func(sl slot, re *runner.RunError) {
-		failed++
-		results[sl.si].Errors = append(results[sl.si].Errors, re)
-		results[sl.si].Outcomes[sl.run] = runner.FailedOutcome(cfgOf(sl))
-	}
-
-	// Journal pre-pass: recorded runs never reach the service, exactly as
-	// they never reach the local pool.
 	var (
 		grid  []spec.Spec
 		slots []slot
 	)
 	for si, s := range specs {
 		for r := 0; r < s.Runs; r++ {
-			sl := slot{si, r}
-			if opts.Journal != nil {
-				if o, re, ok := opts.Journal.Lookup(s, r); ok {
-					journaled++
-					if re != nil {
-						fail(sl, re)
-					} else {
-						results[si].Outcomes[r] = o
-					}
-					finish(sl, seedOf(sl), true, re)
-					continue
-				}
-			}
-			sp, err := spec.FromConfig(cfgOf(sl))
+			cfg := s.Base
+			cfg.Seed = xrand.Derive(s.BaseSeed, uint64(r))
+			sp, err := spec.FromConfig(cfg)
 			if err != nil {
 				return nil, fmt.Errorf("service: spec %q is not service-executable: %w", s.Name, err)
 			}
 			grid = append(grid, sp)
-			slots = append(slots, sl)
+			slots = append(slots, slot{si, r})
 		}
 	}
-
-	if len(grid) > 0 {
-		resp, err := be.Submit(SweepRequest{Name: "exec", Specs: grid})
-		if err != nil {
-			return nil, fmt.Errorf("service: submit: %w", err)
-		}
-		err = be.Stream(ctx, resp.ID, 0, func(ev ResultEvent) error {
-			if ev.Index < 0 || ev.Index >= len(slots) {
-				return fmt.Errorf("service: event index %d outside sweep of %d runs", ev.Index, len(slots))
-			}
-			sl := slots[ev.Index]
-			if ev.Cached {
-				// Cache-served runs play the journal-served role in the
-				// update feed: no local compute, discounted from the ETA.
-				journaled++
-			}
-			re := rewrite(ev.Err, sl)
-			if ev.Failed() {
-				fail(sl, re)
-				if opts.Journal != nil && re.Deterministic {
-					opts.Journal.Record(specs[sl.si], sl.run, nil, re)
-				}
-			} else {
-				if re != nil {
-					flaky++
-					results[sl.si].Flaky = append(results[sl.si].Flaky, re)
-				}
-				results[sl.si].Outcomes[sl.run] = *ev.Outcome
-				if opts.Journal != nil && !ev.Outcome.Cancelled {
-					opts.Journal.Record(specs[sl.si], sl.run, ev.Outcome, nil)
-				}
-			}
-			var errField *runner.RunError
-			if ev.Failed() {
-				errField = re
-			}
-			finish(sl, seedOf(sl), ev.Cached, errField)
-			return nil
-		})
-		if err != nil {
-			if ctx.Err() != nil {
-				// Partial results, runner-style: completed runs are valid
-				// and journaled; the rest never arrived.
-				return results, ctx.Err()
-			}
-			return nil, err
-		}
+	if len(grid) == 0 {
+		return col.Results(), nil
 	}
-
-	for i := range results {
-		byRun := func(errs []*runner.RunError) {
-			sort.Slice(errs, func(a, b int) bool { return errs[a].Run < errs[b].Run })
+	resp, err := be.Submit(SweepRequest{Name: "exec", Specs: grid})
+	if err != nil {
+		return nil, fmt.Errorf("service: submit: %w", err)
+	}
+	err = be.Stream(ctx, resp.ID, 0, func(ev ResultEvent) error {
+		if ev.Index < 0 || ev.Index >= len(slots) {
+			return fmt.Errorf("service: event index %d outside sweep of %d runs", ev.Index, len(slots))
 		}
-		byRun(results[i].Errors)
-		byRun(results[i].Flaky)
+		if ev.Outcome == nil && ev.Err == nil {
+			return fmt.Errorf("service: event %d carries neither an outcome nor an error", ev.Index)
+		}
+		sl := slots[ev.Index]
+		col.Add(sl.si, sl.run, ev.Outcome, ev.Err, ev.Cached)
+		return nil
+	})
+	if err != nil && ctx.Err() == nil {
+		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return results, err
-	}
-	return results, nil
+	// Partial results on cancellation, runner-style: completed runs are
+	// valid; the rest never arrived.
+	return col.Results(), ctx.Err()
 }

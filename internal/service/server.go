@@ -20,7 +20,7 @@ import (
 //	POST /v1/sweeps               submit a spec grid            → SubmitResponse
 //	GET  /v1/sweeps/{id}          progress/ETA                  → SweepStatus
 //	GET  /v1/sweeps/{id}/results  streaming result feed (JSONL) → ResultEvent per line
-//	GET  /v1/runs/{fp}            cached run by fingerprint     → Record
+//	GET  /v1/runs/{fp}            cached run by fingerprint     → runner.Record
 //	GET  /v1/registry             protocol/adversary schemas    → registryResponse
 //	POST /v1/leases               acquire a run (long poll)     → Lease | 204
 //	POST /v1/leases/{id}          complete a leased run         ← CompleteRequest

@@ -14,6 +14,7 @@ import (
 	"github.com/ugf-sim/ugf/internal/runner"
 	"github.com/ugf-sim/ugf/internal/sim"
 	"github.com/ugf-sim/ugf/internal/spec"
+	"github.com/ugf-sim/ugf/internal/xrand"
 )
 
 // testSpecs is a small registry-typed grid: 2 series × 5 runs.
@@ -90,7 +91,7 @@ func TestCoordinatorWorkersMatchSerial(t *testing.T) {
 // zero recomputed runs and identical results.
 func TestResubmitServesEntirelyFromCache(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
-	cacheA, err := NewCache(dir)
+	cacheA, err := runner.OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestResubmitServesEntirelyFromCache(t *testing.T) {
 
 	// "Kill" coordinator A: build a fresh one over the same directory and
 	// resubmit with no workers at all — the cache must answer everything.
-	cacheB, err := NewCache(dir)
+	cacheB, err := runner.OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +129,82 @@ func TestResubmitServesEntirelyFromCache(t *testing.T) {
 	sj, _ := json.Marshal(second)
 	if string(fj) != string(sj) {
 		t.Error("cache round trip changed the serialized results")
+	}
+}
+
+// TestStoredFlakyRunReportsAlike: a store holding a flaky record — an
+// outcome with the environmental RunError its retry recovered from —
+// reports that run in Result.Flaky, re-addressed to the series asking for
+// it, whether the store is read by a coordinator (ExecuteSpecs) or by the
+// local pool (runner.ExecuteContext).
+func TestStoredFlakyRunReportsAlike(t *testing.T) {
+	specs := testSpecs()
+	cfg := specs[1].Base
+	cfg.Seed = xrand.Derive(specs[1].BaseSeed, 3)
+	sp, err := spec.FromConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := sim.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := runner.OpenCache("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := sp.Fingerprint()
+	if err := store.Put(runner.Record{Fingerprint: fp, Spec: sp, Outcome: &o, Err: &runner.RunError{Spec: fp, Panic: "cosmic ray"}}); err != nil {
+		t.Fatal(err)
+	}
+
+	coord := NewCoordinator(Options{Cache: store})
+	stop := startWorkers(t, coord, 2)
+	remote, err := ExecuteSpecs(context.Background(), coord, specs, runner.Options{})
+	stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []*runner.RunError{{Spec: specs[1].Name, Run: 3, Seed: cfg.Seed, Panic: "cosmic ray"}}
+	if !reflect.DeepEqual(remote[1].Flaky, want) || len(remote[0].Flaky) != 0 {
+		t.Fatalf("ExecuteSpecs Flaky = %+v / %+v, want %+v in the second series only", remote[0].Flaky, remote[1].Flaky, want)
+	}
+	local, err := runner.ExecuteContext(context.Background(), specs, runner.Options{Cache: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(stripWalls(local), stripWalls(remote)) {
+		t.Error("the local pool and the coordinator report the stored runs differently")
+	}
+	if _, err := ExecuteSpecs(context.Background(), coord, specs, runner.Options{Cache: store}); err == nil {
+		t.Error("ExecuteSpecs accepted a local cache next to the coordinator's")
+	}
+}
+
+// replayBackend answers every submission by replaying fixed events.
+type replayBackend []ResultEvent
+
+func (b replayBackend) Submit(req SweepRequest) (SubmitResponse, error) {
+	return SubmitResponse{ID: "replay", Total: len(req.Specs)}, nil
+}
+
+func (b replayBackend) Stream(_ context.Context, _ string, _ int, fn func(ResultEvent) error) error {
+	for _, ev := range b {
+		if err := fn(ev); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestExecuteSpecsRejectsMalformedEvents: a result feed is input from
+// another process; events addressing no run of the sweep, or carrying
+// neither an outcome nor an error, fail the batch instead of the process.
+func TestExecuteSpecsRejectsMalformedEvents(t *testing.T) {
+	for _, ev := range []ResultEvent{{Index: 10}, {Index: -1}, {Index: 0}} {
+		if _, err := ExecuteSpecs(context.Background(), replayBackend{ev}, testSpecs(), runner.Options{}); err == nil {
+			t.Errorf("event %+v accepted", ev)
+		}
 	}
 }
 

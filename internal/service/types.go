@@ -1,10 +1,10 @@
-// Package service turns the simulator into a sweep service: a
-// content-addressed result cache keyed by canonical spec fingerprints, an
-// HTTP job API for submitting and observing sweeps, and a
-// coordinator/worker runtime that partitions a (spec, seed) grid across
-// worker processes while folding results through the same stats/journal
-// pipeline a local run uses — so the artifacts of a distributed sweep are
-// byte-identical to a purely local one.
+// Package service turns the simulator into a sweep service: an HTTP job
+// API for submitting and observing sweeps, and a coordinator/worker
+// runtime that answers runs from the content-addressed runner.Cache,
+// partitions the rest of a (spec, seed) grid across worker processes, and
+// folds results through the same runner.Collector a local run uses — so
+// the artifacts of a distributed sweep are byte-identical to a purely
+// local one.
 //
 // The package splits along deployment lines. Coordinator owns all sweep
 // state and implements the whole protocol in-process (its methods are the
@@ -68,7 +68,7 @@ type SweepStatus struct {
 	Finished bool `json:"finished"`
 	// Progress is the runner's progress snapshot — rate and ETA computed
 	// exactly as the local -progress line computes them, with cache-served
-	// runs discounted the way journal-served runs are.
+	// runs discounted from the rate.
 	Progress runner.Snapshot `json:"progress"`
 }
 
@@ -130,16 +130,6 @@ type CompleteRequest struct {
 	// ConfigError is sim.Run's configuration error text, fatal for the
 	// run: every retry would fail identically.
 	ConfigError string `json:"config_error,omitempty"`
-}
-
-// Record is one cached run: the canonical spec and its outcome or
-// deterministic failure. Both are pure functions of the fingerprint, so a
-// record is immutable once written.
-type Record struct {
-	Fingerprint string           `json:"fp"`
-	Spec        spec.Spec        `json:"spec"`
-	Outcome     *sim.Outcome     `json:"outcome,omitempty"`
-	Err         *runner.RunError `json:"error,omitempty"`
 }
 
 // Counters aggregates the coordinator's lifetime counters.

@@ -58,7 +58,7 @@ type Outcome struct {
 	// Config.MaxWall watchdog. The outcome is a valid partial execution
 	// prefix, but — unlike a Horizon/MaxEvents cutoff — the stopping point
 	// depends on wall-clock time, so cancelled outcomes are never
-	// journaled or replayed. Cancelled implies HorizonHit.
+	// stored or replayed. Cancelled implies HorizonHit.
 	Cancelled bool
 
 	// PerProcessMsgs holds M_ρ(O) for each process, only when

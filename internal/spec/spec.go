@@ -1,6 +1,6 @@
 // Package spec defines the canonical, versioned, serializable description
 // of one simulation run — the stable contract between the public API, the
-// sweep service, the run journal, and the content-addressed result cache.
+// sweep service, and the content-addressed result store.
 //
 // A Spec names its protocol and adversary through the registries
 // (internal/gossip, internal/adversary) with parameter overrides validated
@@ -18,8 +18,8 @@
 // the fault plan re-rendered in ParseFaultPlan's normal form, the version
 // pinned. CanonicalJSON marshals that form with a fixed field order and
 // sorted parameter keys, and Fingerprint hashes those bytes with FNV-64a —
-// the one fingerprint implementation in the codebase, shared by the run
-// journal (SeriesFingerprint), the result cache, and the golden matrices
+// the one fingerprint implementation in the codebase, shared by the result
+// store (runner.Cache), the sweep service, and the golden matrices
 // (OutcomeHash). Two specs that build the same run — whatever field order,
 // default elision, or parameter spelling their JSON arrived with —
 // fingerprint identically.
@@ -275,7 +275,7 @@ func (s Spec) CanonicalJSON() ([]byte, error) {
 }
 
 // Fingerprint returns the spec's content address: the FNV-64a hash of its
-// canonical JSON, in the journal's 16-hex-digit format. It is stable
+// canonical JSON, as 16 hex digits. It is stable
 // across field reordering, default elision, and parameter spelling, and
 // moves with anything that changes the run's outcome. Invalid specs —
 // which have no canonical form — are fingerprinted over their plain JSON
@@ -309,43 +309,6 @@ func unmarshalStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
-}
-
-// SeriesFingerprint identifies everything about a runner series — name,
-// repetition plan, base seed, and the outcome-determining content of its
-// base configuration — that determines its outcomes; it is the journal's
-// record key. Registry-typed configurations fingerprint through their
-// canonical spec encoding (seed zeroed: runs derive per-run seeds from
-// the base seed and index); custom protocol or adversary types fall back
-// to an opaque printed representation, which still captures tuning fields
-// Name() omits. Outcome-neutral knobs — Workers, Trace, Sample, progress —
-// are deliberately excluded, so a journal written at -workers 8 resumes
-// cleanly at -workers 1.
-func SeriesFingerprint(name string, runs int, baseSeed uint64, base sim.Config) string {
-	prefix := fmt.Sprintf("series|%s|%d|%d|", name, runs, baseSeed)
-	if sp, err := FromConfig(base); err == nil {
-		sp.Seed = 0
-		if b, err := sp.CanonicalJSON(); err == nil {
-			return sum64(append([]byte(prefix), b...))
-		}
-	}
-	// Opaque fallback: %T%+v captures the concrete type and every exported
-	// field of custom protocols/adversaries. Faults and the stall window
-	// joined the fingerprint with the spec encoding (they change outcomes);
-	// the fallback includes them too.
-	faults := ""
-	if base.Faults.Active() {
-		faults = base.Faults.String()
-	}
-	topo := ""
-	if base.Topology.Active() {
-		topo = base.Topology.String()
-	}
-	opaque := fmt.Sprintf("opaque|%d|%d|%d|%d|%T%+v|%T%+v|%s|%s|%d|%d|%v",
-		base.N, base.F, base.Horizon, base.MaxEvents,
-		base.Protocol, base.Protocol, base.Adversary, base.Adversary,
-		faults, topo, base.StallWindow, base.StatsEvery, base.KeepPerProcess)
-	return sum64([]byte(prefix + opaque))
 }
 
 // OutcomeHash is the content hash of a deterministic outcome: FNV-64a

@@ -207,31 +207,6 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
-// TestSeriesFingerprintFallback: configurations without a registry
-// encoding (nil protocol, custom types) fingerprint through the opaque
-// path, which still distinguishes everything the old journal fingerprint
-// did — plus the fault/stall fields it missed.
-func TestSeriesFingerprintFallback(t *testing.T) {
-	base := sim.Config{N: 10, F: 1}
-	fp := SeriesFingerprint("s", 5, 1, base)
-	if got := SeriesFingerprint("s", 5, 1, sim.Config{N: 11, F: 1}); got == fp {
-		t.Error("fallback fingerprint ignored N")
-	}
-	if got := SeriesFingerprint("t", 5, 1, base); got == fp {
-		t.Error("fingerprint ignored the series name")
-	}
-	withStall := base
-	withStall.StallWindow = 100
-	if got := SeriesFingerprint("s", 5, 1, withStall); got == fp {
-		t.Error("fallback fingerprint ignored the stall window")
-	}
-	withTopo := base
-	withTopo.Topology = &sim.Topology{Kind: "ring"}
-	if got := SeriesFingerprint("s", 5, 1, withTopo); got == fp {
-		t.Error("fallback fingerprint ignored the topology")
-	}
-}
-
 // TestTopologyCompleteElides: the complete graph is the default and must
 // elide from canonical form — "" and "complete" fingerprint identically,
 // so every pre-topology spec keeps its fingerprint (the default-elision

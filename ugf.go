@@ -309,8 +309,7 @@ func ParseSpec(data []byte) (Spec, error) { return spec.ParseSpec(data) }
 // Fingerprint returns the spec's content-addressed identity: the FNV-64a
 // hash of its canonical JSON, stable under field reordering, default
 // elision, and parameter spelling. It is the repo's ONE fingerprint
-// implementation — the result cache, the run journal, and the HTTP API
-// all key off it.
+// implementation — the result store and the HTTP API both key off it.
 func Fingerprint(s Spec) string { return s.Fingerprint() }
 
 // SpecFromConfig extracts the canonical Spec of a registry-built Config —
