@@ -398,7 +398,9 @@ func (r *runtime) stepOnce() (bool, error) {
 	for _, nd := range r.parts {
 		r.framesForwarded += int64(nd.report.frames)
 	}
-	for r.acked.Load() < r.framesForwarded {
+	// A recorded error ends the wait: frames lost behind a broken stream
+	// are never acknowledged.
+	for r.acked.Load() < r.framesForwarded && r.getErr() == nil {
 		<-r.notifyCh
 	}
 	if err := r.getErr(); err != nil {

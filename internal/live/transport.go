@@ -27,11 +27,11 @@ type Transport interface {
 	// exactly one reader goroutine per stream.
 	Recv(id int) <-chan []byte
 	// Close tears the transport down: pending and future Sends unblock
-	// with ErrTransportClosed. A transport with its own reader goroutines
-	// (TCP) also closes its Recv streams; the channel transport cannot
-	// close a stream a blocked sender may still hold, so runtime readers
-	// must additionally watch a stop signal of their own. Safe to call
-	// more than once.
+	// with an error (ErrTransportClosed, or the socket's error for a TCP
+	// write already under way). Neither built-in transport closes its
+	// Recv streams — a blocked sender or reader goroutine may still hold
+	// one — so runtime readers must watch a stop signal of their own.
+	// Safe to call more than once.
 	Close() error
 }
 
