@@ -10,20 +10,38 @@ import (
 
 // TestLiveMatchesSimOutput runs the same scenario through -live and the
 // simulator: the printed outcome lines must be identical, the CLI-level
-// restatement of the oracle equality the live test band proves.
+// restatement of the oracle equality the live test band proves. Each
+// adversary row is named by the label its outcome line carries, so the
+// UGF rows pin that their seeds draw each of its strategies.
 func TestLiveMatchesSimOutput(t *testing.T) {
-	args := []string{"-protocol", "push-pull", "-n", "24", "-seed", "5",
-		"-faults", "drop=0.1,dup=0.05,seed=7"}
-	want, err := runCLI(t, args...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := runCLI(t, append([]string{"-live"}, args...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("live output differs from sim:\n live %s sim  %s", got, want)
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"faults", []string{"-protocol", "push-pull", "-n", "24", "-seed", "5",
+			"-faults", "drop=0.1,dup=0.05,seed=7"}},
+		{"ugf[1]", []string{"-protocol", "push-pull", "-adversary", "ugf", "-n", "24", "-seed", "4"}},
+		{"ugf[2.1.0]", []string{"-protocol", "push-pull", "-adversary", "ugf", "-n", "24", "-seed", "3"}},
+		{"ugf[2.1.1]", []string{"-protocol", "push-pull", "-adversary", "ugf", "-n", "24", "-seed", "1"}},
+		{"crash-recovery", []string{"-protocol", "push-pull", "-adversary", "crash-recovery", "-n", "24", "-seed", "5",
+			"-faults", "drop=0.1,corrupt=0.05,seed=7"}},
+		{"rewire", []string{"-protocol", "push-pull", "-adversary", "rewire", "-topology", "ring", "-n", "24", "-seed", "5",
+			"-stall-window", "4096", "-max-events", "1000000"}},
+	} {
+		want, err := runCLI(t, tc.args...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tc.name != "faults" && !strings.Contains(want, "vs "+tc.name) {
+			t.Fatalf("%s: the row's run is not labelled %q:\n%s", tc.name, tc.name, want)
+		}
+		got, err := runCLI(t, append([]string{"-live"}, tc.args...)...)
+		if err != nil {
+			t.Fatalf("%s: -live: %v", tc.name, err)
+		}
+		if got != want {
+			t.Errorf("%s: live output differs from sim:\n live %s sim  %s", tc.name, got, want)
+		}
 	}
 }
 
@@ -95,8 +113,6 @@ func TestLiveRejectsSimOnlyFlags(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"adversary", []string{"-live", "-adversary", "ugf", "-n", "10"}, "simulator-only"},
-		{"topology", []string{"-live", "-topology", "ring", "-n", "10"}, "simulator-only"},
 		{"curve", []string{"-live", "-curve", "-n", "10"}, "simulator-only"},
 	} {
 		_, err := runCLI(t, tc.args...)

@@ -66,7 +66,6 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	common.Warn(fs, os.Stderr)
 	if err := common.Validate(*trace || *traceOut != ""); err != nil {
 		return err
 	}
@@ -75,7 +74,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		if *curve {
-			return fmt.Errorf("-curve is simulator-only: the live runtime has no snapshot sampler")
+			return fmt.Errorf("-curve is simulator-only: live runs do not sample the dissemination curve")
 		}
 	}
 
@@ -84,7 +83,7 @@ func run(args []string, out io.Writer) error {
 	if *specArg != "" {
 		replaced := map[string]bool{
 			"protocol": true, "adversary": true, "n": true, "f": true, "seed": true,
-			"faults": true, "topology": true, "stall-window": true, "stallwindow": true,
+			"faults": true, "topology": true, "stall-window": true,
 			"max-events": true,
 		}
 		var conflict string
@@ -215,7 +214,7 @@ func run(args []string, out io.Writer) error {
 	var outs []ugf.Outcome
 	if *liveMode {
 		// Live repetitions run serially — each one is a real networked
-		// system of goroutine nodes — with the runner's per-run seed
+		// system with its own transport — with the runner's per-run seed
 		// derivation, so run i of a scenario is the same execution a
 		// simulated sweep would label run i.
 		outs = make([]ugf.Outcome, *runs)
@@ -302,7 +301,7 @@ func run(args []string, out io.Writer) error {
 
 // runOnce dispatches one configured run to the simulator or, under
 // -live, to the live-transport runtime through the config projection
-// (which rejects simulator-only features with a structured error).
+// (which rejects the features live does not cover with an error).
 func runOnce(cfg ugf.Config, liveMode bool) (ugf.Outcome, error) {
 	if !liveMode {
 		return ugf.Run(cfg)

@@ -14,6 +14,9 @@ import (
 func auditedRun(t *testing.T, cfg live.Config) (sim.Outcome, []sim.TraceEvent, []string) {
 	t.Helper()
 	snk := check.New()
+	if cfg.Topology != nil {
+		snk.UseTopology(cfg.Topology, cfg.N)
+	}
 	var rec sim.Recorder
 	cfg.Trace = sim.FuncSink(func(ev sim.TraceEvent) {
 		snk.Event(ev)
@@ -29,35 +32,27 @@ func auditedRun(t *testing.T, cfg live.Config) (sim.Outcome, []sim.TraceEvent, [
 // TestLiveTracePassesAuditor routes live event streams through the same
 // Section II-A trace validator the simulator's runs are held to: phase
 // order inside a step, send/arrival/drop matching per link, crash
-// silence, end-marker/Outcome reconciliation. Every interposer injection
-// must keep the stream consistent.
+// silence, end-marker/Outcome reconciliation. Every adversary must keep
+// the stream consistent.
 func TestLiveTracePassesAuditor(t *testing.T) {
-	pp := proto(t, "push-pull")
-	cases := []struct {
+	type row struct {
 		name string
 		cfg  live.Config
-	}{
+	}
+	pp := proto(t, "push-pull")
+	cases := []row{
 		{"plain", live.Config{N: 40, Protocol: pp, Seed: 5}},
 		{"faults", live.Config{
 			N: 40, Protocol: pp, Seed: 5,
 			Faults: &sim.FaultPlan{Seed: 8, Drop: 0.12, Duplicate: 0.06, Corrupt: 0.06},
 		}},
-		{"crashes", live.Config{
-			N: 40, F: 6, Protocol: pp, Seed: 5,
-			Crashes: live.DeriveCrashes(21, 40, 6, 8),
-		}},
-		{"delay and omit", live.Config{
-			N: 40, Protocol: pp, Seed: 5,
-			Delay: &live.DelayPlan{Seed: 3, Prob: 0.25, Max: 4},
-			Omit:  &live.OmitPlan{Seed: 4, Prob: 0.15},
-		}},
-		{"everything", live.Config{
-			N: 40, F: 5, Protocol: proto(t, "ears"), Seed: 5,
-			Faults:  &sim.FaultPlan{Seed: 8, Drop: 0.1, Duplicate: 0.05, Corrupt: 0.05},
-			Delay:   &live.DelayPlan{Seed: 3, Prob: 0.2, Max: 3},
-			Omit:    &live.OmitPlan{Seed: 4, Prob: 0.1},
-			Crashes: live.DeriveCrashes(21, 40, 5, 8),
-		}},
+	}
+	for _, a := range attacks(t) {
+		cfg, err := live.FromSimConfig(a.cfg)
+		if err != nil {
+			t.Fatalf("%s: FromSimConfig: %v", a.name, err)
+		}
+		cases = append(cases, row{a.name, cfg})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -156,7 +151,7 @@ func TestAuditorCatchesPhantomArrival(t *testing.T) {
 	}
 }
 
-// TestAuditorCatchesUnreconciledDrop models an interposer that discards a
+// TestAuditorCatchesUnreconciledDrop models a network that discards a
 // frame without accounting for it: the drop event vanishes from the
 // stream while Stats still counts it, so Finish's reconciliation against
 // the Outcome must flag the drop-counter mismatch.

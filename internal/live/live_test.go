@@ -1,12 +1,16 @@
 package live_test
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
+	"github.com/ugf-sim/ugf/internal/adversary"
 	"github.com/ugf-sim/ugf/internal/gossip"
 	"github.com/ugf-sim/ugf/internal/live"
+	"github.com/ugf-sim/ugf/internal/live/wire"
 	"github.com/ugf-sim/ugf/internal/sim"
 	"github.com/ugf-sim/ugf/internal/simtest"
 	"github.com/ugf-sim/ugf/internal/xrand"
@@ -21,13 +25,12 @@ func proto(t testing.TB, name string) sim.Protocol {
 	return p
 }
 
-// TestLiveMatchesSimExactly is the oracle check at its strictest: for
-// configs both runtimes cover (baseline network + link-fault plan), a
-// live run over real goroutine nodes and wire frames produces the same
-// Outcome as the simulator bit for bit — same TEnd, Quiescence, Messages,
-// per-kind counts, per-process counters, everything up to
-// simtest.Normalize (wall times and the sim-only scheduler heap
-// counters, which stay zero live).
+// TestLiveMatchesSimExactly is the oracle check at its strictest: a live
+// run over wire frames produces the same Outcome as the simulator bit for
+// bit — same TEnd, Quiescence, Messages, per-kind counts, per-process
+// counters, everything up to simtest.Normalize (wall times and scheduler
+// heap counters) — with link faults and under every adversary of
+// attacks.
 func TestLiveMatchesSimExactly(t *testing.T) {
 	protocols := []string{"push-pull", "ears", "push", "doubling", "round-robin"}
 	plans := []*sim.FaultPlan{
@@ -69,22 +72,80 @@ func TestLiveMatchesSimExactly(t *testing.T) {
 			}
 		}
 	}
+
+	for _, a := range attacks(t) {
+		simCfg := a.cfg
+		simCfg.KeepPerProcess = true
+		want, err := sim.Run(simCfg)
+		if err != nil {
+			t.Fatalf("%s: sim: %v", a.name, err)
+		}
+		if a.strategy != "" && want.Strategy != a.strategy {
+			t.Fatalf("%s: drew strategy %q, the row is for %q", a.name, want.Strategy, a.strategy)
+		}
+		liveCfg, err := live.FromSimConfig(simCfg)
+		if err != nil {
+			t.Fatalf("%s: FromSimConfig: %v", a.name, err)
+		}
+		got, err := live.Run(liveCfg)
+		if err != nil {
+			t.Fatalf("%s: live: %v", a.name, err)
+		}
+		if diffs := simtest.DiffOutcomes(got, want); len(diffs) != 0 {
+			t.Errorf("%s: live diverges from sim:\n  %s", a.name, strings.Join(diffs, "\n  "))
+		}
+	}
+}
+
+// attack is one adversarial live scenario: the engine's own adversaries
+// crash, omit, delay and rewire under live exactly as they do simulated.
+type attack struct {
+	name     string
+	cfg      sim.Config
+	strategy string // the UGF strategy the seed draws, "" for other adversaries
+}
+
+// attacks lists the adversarial rows the live bands share: UGF on seeds
+// drawing each of its strategies, crash-recovery, omission, and rewire on
+// a ring.
+func attacks(t testing.TB) []attack {
+	t.Helper()
+	adv := func(name string) sim.Adversary {
+		a, ok := adversary.ByName(name)
+		if !ok {
+			t.Fatalf("adversary %q not in registry", name)
+		}
+		return a
+	}
+	pp := proto(t, "push-pull")
+	faults := &sim.FaultPlan{Seed: 0xFA02, Drop: 0.05, Duplicate: 0.05, Corrupt: 0.05}
+	return []attack{
+		{"ugf/strategy-1", sim.Config{N: 24, F: 7, Protocol: pp, Adversary: adv("ugf"), Seed: 4}, "1"},
+		{"ugf/strategy-2.1.0", sim.Config{N: 24, F: 7, Protocol: pp, Adversary: adv("ugf"), Seed: 3}, "2.1.0"},
+		{"ugf/strategy-2.1.1", sim.Config{N: 24, F: 7, Protocol: pp, Adversary: adv("ugf"), Seed: 1}, "2.1.1"},
+		{"ugf/ears/faults", sim.Config{N: 24, F: 7, Protocol: proto(t, "ears"), Adversary: adv("ugf"), Seed: 3, Faults: faults}, "2.1.0"},
+		{"crash-recovery", sim.Config{N: 24, F: 7, Protocol: pp, Adversary: adv("crash-recovery"), Seed: 5, Faults: faults}, ""},
+		{"omission", sim.Config{N: 24, F: 7, Protocol: pp, Adversary: adv("omission"), Seed: 5}, ""},
+		{"rewire/ring", sim.Config{N: 24, F: 7, Protocol: pp, Adversary: adv("rewire"), Seed: 5,
+			Topology: &sim.Topology{Kind: "ring"}, StallWindow: 4096, MaxEvents: 1 << 20}, ""},
+	}
 }
 
 // TestLiveDeterministic pins that a live run is a pure function of its
-// Config even with every interposer injection active: identical outcomes
-// (up to wall times) and identical event streams across repeated runs,
-// despite real goroutine concurrency underneath.
+// Config under UGF and a fault plan: identical outcomes (up to wall
+// times) and identical event streams across repeated runs, despite real
+// concurrent receivers underneath.
 func TestLiveDeterministic(t *testing.T) {
+	ugf, ok := adversary.ByName("ugf")
+	if !ok {
+		t.Fatal("ugf not in registry")
+	}
 	run := func() (sim.Outcome, []sim.TraceEvent) {
 		var rec sim.Recorder
 		o, err := live.Run(live.Config{
-			N: 32, F: 4, Protocol: proto(t, "push-pull"), Seed: 77,
-			Faults:  &sim.FaultPlan{Seed: 9, Drop: 0.08, Duplicate: 0.04, Corrupt: 0.04},
-			Delay:   &live.DelayPlan{Seed: 11, Prob: 0.2, Max: 3},
-			Omit:    &live.OmitPlan{Seed: 13, Prob: 0.1},
-			Crashes: live.DeriveCrashes(15, 32, 4, 6),
-			Trace:   &rec, KeepPerProcess: true,
+			N: 32, F: 9, Protocol: proto(t, "push-pull"), Adversary: ugf, Seed: 77,
+			Faults: &sim.FaultPlan{Seed: 9, Drop: 0.08, Duplicate: 0.04, Corrupt: 0.04},
+			Trace:  &rec, KeepPerProcess: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -134,12 +195,6 @@ func TestConfigValidate(t *testing.T) {
 		{"nil protocol", live.Config{N: 4}},
 		{"negative horizon", live.Config{N: 4, Protocol: pp, Horizon: -1}},
 		{"negative max events", live.Config{N: 4, Protocol: pp, MaxEvents: -1}},
-		{"bad delay plan", live.Config{N: 4, Protocol: pp, Delay: &live.DelayPlan{Prob: 0.5}}},
-		{"bad omit plan", live.Config{N: 4, Protocol: pp, Omit: &live.OmitPlan{Prob: 1.5}}},
-		{"crashes over budget", live.Config{N: 4, F: 0, Protocol: pp, Crashes: []live.Crash{{Proc: 1, At: 1}}}},
-		{"crash of unknown process", live.Config{N: 4, F: 2, Protocol: pp, Crashes: []live.Crash{{Proc: 9, At: 1}}}},
-		{"crash at step 0", live.Config{N: 4, F: 2, Protocol: pp, Crashes: []live.Crash{{Proc: 1, At: 0}}}},
-		{"double crash", live.Config{N: 4, F: 2, Protocol: pp, Crashes: []live.Crash{{Proc: 1, At: 1}, {Proc: 1, At: 2}}}},
 	}
 	for _, tc := range cases {
 		if _, err := live.Run(tc.cfg); err == nil {
@@ -156,7 +211,6 @@ func TestFromSimConfigRejects(t *testing.T) {
 		mut  func(*sim.Config)
 		want string
 	}{
-		{"adversary", func(c *sim.Config) { c.Adversary = stubAdversary{} }, "adversary"},
 		{"sampling", func(c *sim.Config) { c.SampleEvery = 4 }, "sampling"},
 		{"interval stats", func(c *sim.Config) { c.StatsEvery = 4 }, "interval-stats"},
 		{"wall watchdog", func(c *sim.Config) { c.MaxWall = 1 }, "wall-clock"},
@@ -184,49 +238,55 @@ func TestFromSimConfigRejects(t *testing.T) {
 	cfg.StallWindow = 64
 	cfg.Faults = &sim.FaultPlan{Seed: 2, Drop: 0.1}
 	cfg.KeepPerProcess = true
+	cfg.Adversary, _ = adversary.ByName("ugf")
+	cfg.Topology = &sim.Topology{Kind: "ring"}
 	got, err := live.FromSimConfig(cfg)
 	if err != nil {
 		t.Fatalf("supported config rejected: %v", err)
 	}
 	want := live.Config{
-		N: 16, F: 3, Protocol: pp, Seed: 1,
+		N: 16, F: 3, Protocol: pp, Adversary: cfg.Adversary, Seed: 1,
 		Horizon: 500, MaxEvents: 10000, StallWindow: 64,
-		Faults: cfg.Faults, KeepPerProcess: true,
+		Faults: cfg.Faults, Topology: cfg.Topology, KeepPerProcess: true,
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("projection mismatch:\n got  %+v\n want %+v", got, want)
 	}
 }
 
-type stubAdversary struct{}
+// flipTransport is a channel transport that flips one payload bit of its
+// nth frame, a frame the engine did not mark corrupt.
+type flipTransport struct {
+	*live.ChanTransport
+	nth    int64
+	sends  atomic.Int64
+	victim atomic.Int64
+}
 
-func (stubAdversary) Name() string                                       { return "stub" }
-func (stubAdversary) New(n, f int, rng *xrand.RNG) sim.AdversaryInstance { return nil }
+func (f *flipTransport) Send(from, to int, frame []byte) error {
+	if f.sends.Add(1) == f.nth {
+		body, err := wire.ParseFrame(frame)
+		if err != nil {
+			return err
+		}
+		if err := wire.CorruptBody(body, 0); err != nil {
+			return err
+		}
+		f.victim.Store(int64(to))
+	}
+	return f.ChanTransport.Send(from, to, frame)
+}
 
-func TestDeriveCrashes(t *testing.T) {
-	const n, f = 40, 6
-	const window = sim.Step(10)
-	crashes := live.DeriveCrashes(42, n, f, window)
-	if len(crashes) == 0 || len(crashes) > f {
-		t.Fatalf("got %d crashes, want 1..%d", len(crashes), f)
-	}
-	seen := make(map[sim.ProcID]bool)
-	for _, c := range crashes {
-		if c.Proc < 0 || int(c.Proc) >= n {
-			t.Errorf("victim %d out of range", c.Proc)
-		}
-		if seen[c.Proc] {
-			t.Errorf("victim %d crashes twice", c.Proc)
-		}
-		seen[c.Proc] = true
-		if c.At < 1 || c.At > window {
-			t.Errorf("crash of %d at step %d outside [1, %d]", c.Proc, c.At, window)
-		}
-	}
-	if !reflect.DeepEqual(crashes, live.DeriveCrashes(42, n, f, window)) {
-		t.Error("DeriveCrashes is not deterministic")
-	}
-	if len(live.DeriveCrashes(42, n, 0, window)) != 0 {
-		t.Error("f=0 returned crashes")
+// TestLiveChecksumMismatchFailsRun damages a frame in transit that no
+// fault verdict corrupted. The receiver's checksum then disagrees with the
+// calendar, and the run must fail naming the receiving node instead of
+// counting a corrupt drop the simulator never made.
+func TestLiveChecksumMismatchFailsRun(t *testing.T) {
+	const n = 24
+	tr := &flipTransport{ChanTransport: live.NewChanTransport(n), nth: 40}
+	_, err := live.Run(live.Config{N: n, Protocol: proto(t, "push-pull"), Seed: 3, Transport: tr})
+	want := fmt.Sprintf("node %d received", tr.victim.Load())
+	if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("run error %v, want a checksum error containing %q", err, want)
 	}
 }

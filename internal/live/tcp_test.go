@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ugf-sim/ugf/internal/adversary"
 	"github.com/ugf-sim/ugf/internal/live"
 	"github.com/ugf-sim/ugf/internal/live/wire"
 	"github.com/ugf-sim/ugf/internal/sim"
@@ -19,10 +20,10 @@ import (
 // TestTCPTransportMatchesSim runs the live runtime over real loopback TCP
 // sockets — every frame crosses the kernel's network stack — and holds
 // the outcome to the same bit-exact oracle equality as the in-process
-// transport. The coordinator's barrier, not the transport, is what makes
-// the run deterministic; this is the test that proves it. The N = 128
-// cases are the benchmark's scale, where every node's stream carries
-// frames from many concurrent senders.
+// transport. The ack barrier, not the transport, is what makes the run
+// deterministic; this is the test that proves it. The N = 128 cases are
+// the benchmark's scale, where every node's stream carries frames from
+// many senders, and the ugf row runs the paper's adversary over sockets.
 func TestTCPTransportMatchesSim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loopback sockets in -short")
@@ -32,22 +33,31 @@ func TestTCPTransportMatchesSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ugf, ok := adversary.ByName("ugf")
+	if !ok {
+		t.Fatal("ugf not in registry")
+	}
 	cases := []struct {
 		name   string
 		n, f   int
 		faults *sim.FaultPlan
 		seeds  []uint64
+		adv    sim.Adversary
 	}{
-		{"push-pull", 12, 0, small, []uint64{1, 2}},
-		{"ears", 12, 0, small, []uint64{1, 2}},
-		{"push-pull", 128, 38, lossy, []uint64{3}},
-		{"ears", 128, 38, lossy, []uint64{3}},
+		{"push-pull", 12, 0, small, []uint64{1, 2}, nil},
+		{"ears", 12, 0, small, []uint64{1, 2}, nil},
+		{"push-pull", 128, 38, lossy, []uint64{3}, nil},
+		{"ears", 128, 38, lossy, []uint64{3}, nil},
+		{"push-pull", 24, 7, small, []uint64{1, 3, 4}, ugf},
 	}
 	for _, c := range cases {
 		for _, seed := range c.seeds {
 			label := fmt.Sprintf("%s/N=%d/seed=%d", c.name, c.n, seed)
+			if c.adv != nil {
+				label += "/" + c.adv.Name()
+			}
 			simCfg := sim.Config{
-				N: c.n, F: c.f, Protocol: proto(t, c.name), Seed: seed,
+				N: c.n, F: c.f, Protocol: proto(t, c.name), Adversary: c.adv, Seed: seed,
 				Faults: c.faults, KeepPerProcess: true,
 			}
 			want, err := sim.Run(simCfg)

@@ -9,11 +9,10 @@ import (
 // Transport moves framed wire messages between live nodes. Frames are the
 // length-prefixed byte strings of internal/live/wire (wire.AppendFrame);
 // the transport treats them as opaque and must deliver each frame intact,
-// exactly once, to the stream of its addressee. Ordering across senders is
-// NOT required — the runtime's step barrier plus the envelope sort keys
-// restore a deterministic delivery order — but frames from one sender to
-// one receiver must not be reordered within a step (both built-in
-// transports are FIFO per link, which is stronger).
+// exactly once, to the stream of its addressee. Ordering is NOT required:
+// the network's ack barrier plus the envelope sort keys restore the
+// calendar's delivery order (both built-in transports are FIFO per link
+// anyway).
 //
 // Send transfers ownership of the frame slice to the transport; callers
 // must not reuse it. Implementations must be safe for concurrent Send

@@ -13,7 +13,7 @@
 //	from       uvarint (sender process id)
 //	to         uvarint (receiver process id)
 //	sentAt     uvarint (global send step)
-//	arriveAt   uvarint (global delivery step, interposer-stamped)
+//	arriveAt   uvarint (global delivery step, from the engine's calendar)
 //	seq        uvarint (sender's post-increment send counter)
 //	kindLen    1 byte  + kind bytes (Payload.Kind())
 //	headerCRC  4 bytes big-endian (CRC-32/IEEE of everything above)
@@ -78,16 +78,16 @@ var (
 	ErrUnknownKind     = errors.New("wire: unknown payload kind")
 )
 
-// Envelope is one decoded wire message: the routing header the interposer
-// and receiver act on, plus the protocol payload.
+// Envelope is one decoded wire message: the routing header the receiver
+// acts on, plus the protocol payload.
 type Envelope struct {
 	From     sim.ProcID
 	To       sim.ProcID
 	SentAt   sim.Step
 	ArriveAt sim.Step
 	// Seq is the sender's post-increment send counter — the value the
-	// fault plan's hash roll keys on, carried so receiver-side tooling can
-	// re-derive interposer verdicts.
+	// fault plan's hash roll keys on, and part of the key that orders a
+	// step's deliveries.
 	Seq int64
 	// Dup marks the extra copy of a duplicated delivery.
 	Dup bool
@@ -296,7 +296,7 @@ func DecodeEnvelope(body []byte) (Envelope, error) {
 }
 
 // CorruptBody flips one payload bit of an encoded body in place — the
-// interposer's physical corruption primitive. The bit index selects among
+// live network's physical corruption primitive. The bit index selects among
 // the payload bits (or, for an empty payload, the payload-checksum bits),
 // so the damage always lands where only ErrPayloadChecksum can come back:
 // the envelope stays addressable and the receiver detects the corruption

@@ -52,8 +52,9 @@ type Config struct {
 	// fully-partitioned or fully-lossy run that would otherwise spin to
 	// Horizon/MaxEvents. 0 disables detection.
 	StallWindow int64
-	// Workers > 1 executes the local steps of each global step on that
-	// many goroutines. Outcomes are bit-identical to serial execution.
+	// Workers > 1 shards the local steps and commits of each dense global
+	// step over that many goroutines (shard.go); traced runs stay serial.
+	// Outcomes are bit-identical to serial execution.
 	Workers int
 	// Trace receives engine events; nil disables tracing.
 	Trace TraceSink
@@ -146,14 +147,28 @@ func ProcRNG(seed uint64, p ProcID) *xrand.RNG {
 // Outcome. The returned error reports configuration mistakes only; runs
 // cut off by Horizon/MaxEvents return a valid Outcome with HorizonHit set,
 // and runs stopped by Cancel/MaxWall additionally set Cancelled.
-func Run(cfg Config) (Outcome, error) {
+func Run(cfg Config) (Outcome, error) { return RunOver(cfg, nil) }
+
+// RunOver executes one run like Run, with every calendar message also
+// carried by net (see Network). A nil net is Run. Commits run serially
+// whatever Config.Workers says, since the network sees sends in commit
+// order. The outcome equals Run's for the same Config; a network error
+// ends the run and is returned instead.
+func RunOver(cfg Config, net Network) (Outcome, error) {
 	t0 := time.Now()
+	if net != nil {
+		cfg.Workers = 0
+	}
 	e, err := newEngine(cfg)
 	if err != nil {
 		return Outcome{}, err
 	}
+	e.net = net
 	t1 := time.Now()
 	e.run()
+	if e.netErr != nil {
+		return Outcome{}, e.netErr
+	}
 	t2 := time.Now()
 	o := e.outcome()
 	// Wall times are measured per run phase, not per step, so the cost is
@@ -235,6 +250,12 @@ type engine struct {
 	// (serial, before commits), so shard lanes read it concurrently.
 	graph *Graph
 
+	// net carries every calendar copy over a real transport (RunOver),
+	// nil for a simulated run — the hot path's one-nil-check gate, like
+	// graph. netErr is its first error, which ends the run.
+	net    Network
+	netErr error
+
 	// Stall detection (Config.StallWindow): stallSig is the progress
 	// signature — deliveries plus lifecycle transitions — at the last
 	// event that advanced it, stallBase the event count then. The run
@@ -256,7 +277,7 @@ type engine struct {
 
 	workers int
 	wg      sync.WaitGroup
-	panics  []any
+	panics  []any // shard-lane panics, re-raised after the lanes join
 	panicMu sync.Mutex
 
 	// lanes are the shard lanes of the sharded commit phase (shard.go);
@@ -382,6 +403,9 @@ func (e *engine) run() {
 			break
 		}
 	}
+	if e.netErr != nil {
+		return
+	}
 	if e.cfg.Sample != nil && (e.lastSample == 0 || e.lastSample != e.now) {
 		e.cfg.Sample(e.snapshot()) // final point of the curve
 	}
@@ -452,8 +476,19 @@ func (e *engine) stepOnce() bool {
 		e.sendLog = e.sendLog[:0]
 		e.adv.Observe(t, events, NewView(e), NewControl(e))
 	}
+	if e.net != nil {
+		if e.netErr = e.net.Sync(t); e.netErr != nil {
+			return false
+		}
+	}
 	e.deliver(t)
+	if e.netErr != nil {
+		return false
+	}
 	e.localSteps(t)
+	if e.netErr != nil {
+		return false
+	}
 	if e.cfg.Sample != nil && t >= e.lastSample+e.cfg.SampleEvery {
 		e.lastSample = t
 		e.cfg.Sample(e.snapshot())
@@ -581,6 +616,13 @@ func (e *engine) deliver(t Step) {
 		return
 	}
 	for _, m := range bucket.msgs {
+		// Over a network, the protocol gets the copy decoded off the wire.
+		var pl Payload
+		if e.net != nil {
+			if pl = e.take(t, m); e.netErr != nil {
+				return
+			}
+		}
 		e.inflight--
 		to := ProcID(m.to)
 		dup := m.ref&refDupBit != 0
@@ -624,7 +666,9 @@ func (e *engine) deliver(t Step) {
 		}
 		// Materialize the boxed Message here, at the protocol boundary —
 		// the only point the payload ref becomes an interface value again.
-		pl := e.payloadVal(m.ref)
+		if pl == nil {
+			pl = e.payloadVal(m.ref)
+		}
 		e.pt.pushMail(to, Message{
 			From: ProcID(m.from), To: to, SentAt: m.sentAt, DeliverAt: t, Payload: pl,
 		})
@@ -658,20 +702,16 @@ func (e *engine) localSteps(t Step) {
 		return
 	}
 
-	if e.workers > 1 && len(due) >= 2*e.workers {
-		if e.cfg.Trace == nil {
-			// Sharded step+commit (shard.go): the commit effects run on the
-			// workers too, then merge serially. Tracing needs the exact
-			// serial event interleaving, so traced runs keep the serial
-			// commit below — outcomes are bit-identical either way.
-			e.stepCommitSharded(t, due)
-			return
-		}
-		e.stepParallel(t, due)
-	} else {
-		for _, p := range due {
-			e.stepOne(t, p)
-		}
+	if e.workers > 1 && len(due) >= 2*e.workers && e.cfg.Trace == nil {
+		// Sharded step+commit (shard.go): the commit effects run on the
+		// workers too, then merge serially. Tracing needs the exact serial
+		// event interleaving, so traced runs step and commit serially below
+		// — outcomes are bit-identical either way.
+		e.stepCommitSharded(t, due)
+		return
+	}
+	for _, p := range due {
+		e.stepOne(t, p)
 	}
 
 	// Commit phase: deterministic, in ascending process order.
@@ -789,6 +829,9 @@ func (e *engine) commitOne(t Step, p ProcID) {
 		if e.cal.add(deliverAt, imessage{from: int32(p), to: d.to, ref: ref, sentAt: t}) {
 			e.sched.scheduleDelivery(deliverAt)
 		}
+		if e.net != nil {
+			e.send(t, p, to, deliverAt, ob.staged[d.pi], false, fault == FaultCorrupt)
+		}
 		cnt[d.pi]++
 		e.inflight++
 		if e.inflight > e.st.MaxInFlight {
@@ -801,6 +844,9 @@ func (e *engine) commitOne(t Step, p ProcID) {
 			// delivery counts it as the duplicate.
 			if e.cal.add(deliverAt, imessage{from: int32(p), to: d.to, ref: int64(res[d.pi]) | refDupBit, sentAt: t}) {
 				e.sched.scheduleDelivery(deliverAt)
+			}
+			if e.net != nil {
+				e.send(t, p, to, deliverAt, ob.staged[d.pi], true, false)
 			}
 			cnt[d.pi]++
 			e.inflight++
@@ -865,42 +911,6 @@ func (e *engine) finishOne(t Step, p ProcID) {
 		e.sched.scheduleProc(p, t+e.pt.delta[p])
 	} else {
 		e.sched.unscheduleProc(p)
-	}
-}
-
-func (e *engine) stepParallel(t Step, due []ProcID) {
-	workers := e.workers
-	if workers > len(due) {
-		workers = len(due)
-	}
-	chunk := (len(due) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(due) {
-			hi = len(due)
-		}
-		if lo >= hi {
-			break
-		}
-		e.wg.Add(1)
-		go func(part []ProcID) {
-			defer e.wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					e.panicMu.Lock()
-					e.panics = append(e.panics, r)
-					e.panicMu.Unlock()
-				}
-			}()
-			for _, p := range part {
-				e.stepOne(t, p)
-			}
-		}(due[lo:hi])
-	}
-	e.wg.Wait()
-	if len(e.panics) > 0 {
-		panic(e.panics[0])
 	}
 }
 

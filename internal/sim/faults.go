@@ -54,29 +54,11 @@ const (
 // derivation chain, mirroring the engine's seedDomainProc/seedDomainAdv.
 const seedDomainFault uint64 = 3
 
-// Exported derivation domains for transport-level interposers. The live
-// runtime's network interposer (internal/live) rolls its verdicts from the
-// same splitmix chain the fault plan uses, each family of decisions under
-// its own domain tag so live-only injections (extra delay, per-step
-// omission, crash schedules) can never collide with — or perturb — the
-// link-fault rolls the simulator shares. DomainLinkFault is the fault
-// plan's own tag, exported so alternative runtimes can document that
-// FaultPlan.Roll and their rolls hang off one derivation tree.
-const (
-	DomainLinkFault uint64 = seedDomainFault
-	DomainLiveDelay uint64 = 5
-	DomainLiveOmit  uint64 = 6
-	DomainLiveCrash uint64 = 7
-)
-
-// FaultRoll is the exported fault-hash seam: the deterministic uniform
-// [0, 1) variate behind FaultPlan.Roll, as a pure function of (seed,
-// domain, path). Every transport — the sim engine's commit lanes, the
-// naive oracle, and the live runtime's interposer — derives its verdicts
-// through this one function, which is what makes a fault pattern
-// reproducible across execution substrates: same seed, same domain, same
-// path, same verdict, no generator state anywhere.
-func FaultRoll(seed, domain uint64, path ...uint64) float64 {
+// faultRoll is the deterministic uniform [0, 1) variate behind
+// FaultPlan.Roll, as a pure function of (seed, domain, path): no
+// generator state anywhere, so the serial commit, the shard lanes and the
+// naive oracle reach the same verdict for the same send.
+func faultRoll(seed, domain uint64, path ...uint64) float64 {
 	args := make([]uint64, 0, 8)
 	args = append(args, domain)
 	args = append(args, path...)
@@ -132,10 +114,7 @@ func (fp *FaultPlan) Active() bool {
 // the same peer twice in one step. Roll is a pure function — callers on
 // concurrent shard lanes may invoke it freely.
 func (fp *FaultPlan) Roll(from, to ProcID, sentAt Step, seq int64) LinkFault {
-	// The variate comes from the exported FaultRoll seam so the live
-	// runtime's interposer, rolling the same (seed, domain, path), reaches
-	// the identical verdict for the identical send.
-	x := FaultRoll(fp.Seed, seedDomainFault,
+	x := faultRoll(fp.Seed, seedDomainFault,
 		uint64(from), uint64(to), uint64(sentAt), uint64(seq))
 	switch {
 	case x < fp.Drop:

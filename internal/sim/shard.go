@@ -45,8 +45,8 @@ import (
 // commit phase) are bit-identical to serial execution for any partition.
 // The workers≡serial and shards properties in internal/simtest pin this.
 //
-// Traced runs take the older parallel-step path instead: traces interleave
-// send events per process in commit order, which the fused phase does not
+// Traced runs step and commit serially instead: traces interleave send
+// events per process in commit order, which the fused phase does not
 // reproduce. Outcomes are identical either way; only event emission timing
 // differs.
 
